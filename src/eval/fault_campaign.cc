@@ -184,9 +184,10 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
   device_pool.set_factory(base.device.make_device);
   const std::string at_entry = " (entry " + entry + ")";
 
-  // The driver is never mutated here: one compile, shared read-only by every
-  // scenario worker (run_unit builds per-call engine state over the const
-  // unit, so concurrent boots are safe).
+  // The driver is never mutated here: one compile (and, on the VM, one
+  // lowering), shared read-only by every scenario worker — each boot builds
+  // its own engine state over the const unit or module, so concurrent boots
+  // are safe.
   const std::string prefix_text =
       base.stubs.empty() ? std::string() : base.stubs + "\n";
   minic::PreparedPrefix prefix = minic::prepare_prefix(base.unit_name,
@@ -201,6 +202,25 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
                            clean.diags.render());
   }
 
+  const bool vm_engine = base.engine == minic::ExecEngine::kBytecodeVm;
+  minic::bytecode::Module module;
+  if (vm_engine) {
+    try {
+      support::StageTimer timer(support::Stage::kLower);
+      module = minic::bytecode::compile_unit(*clean.unit);
+    } catch (const minic::Fault& f) {
+      throw std::logic_error(who + "driver faults on healthy hardware" +
+                             at_entry + ": " + f.message);
+    }
+  }
+  auto boot = [&](hw::IoBus& bus, minic::bytecode::OpcodeProfile* profile) {
+    return vm_engine
+               ? minic::run_module(module, bus, entry, base.step_budget,
+                                   profile, base.watchdog_ms)
+               : minic::run_unit(*clean.unit, bus, entry, base.step_budget,
+                                 base.engine, nullptr, base.watchdog_ms);
+  };
+
   FaultCampaignResult result;
   result.device = base.device.device;
   result.entry = entry;
@@ -210,11 +230,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
     hw::IoBus bus;
     auto dev = device_pool.acquire();
     map_bound_device(bus, base.device, dev);
-    const bool vm_engine = base.engine == minic::ExecEngine::kBytecodeVm;
-    auto run = minic::run_unit(*clean.unit, bus, entry, base.step_budget,
-                               base.engine,
-                               vm_engine ? &result.baseline_opcodes : nullptr,
-                               base.watchdog_ms);
+    auto run = boot(bus, vm_engine ? &result.baseline_opcodes : nullptr);
     result.baseline_steps = run.steps_used;
     if (run.fault != minic::FaultKind::kNone) {
       throw std::logic_error(who + "driver faults on healthy hardware" +
@@ -284,8 +300,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
         } else {
           map_bound_device(bus, base.device, shim);
         }
-        auto run = minic::run_unit(*clean.unit, bus, entry, base.step_budget,
-                                   base.engine, nullptr, base.watchdog_ms);
+        auto run = boot(bus, nullptr);
         if (run.fault == minic::FaultKind::kInternal) {
           throw std::logic_error(who + "interpreter bug under fault [" +
                                  plan.describe() + "]: " + run.fault_message);

@@ -275,6 +275,8 @@ ProcessMetrics capture_process_metrics(uint64_t threads, uint64_t wall_ns) {
   pm.pool_fresh = snap.pool_fresh;
   pm.pool_recycled = snap.pool_recycled;
   pm.watchdog_trips = snap.watchdog_trips;
+  pm.hang_proofs = snap.hang_proofs;
+  pm.hang_steps_skipped = snap.hang_steps_skipped;
   pm.worker_records = snap.worker_records;
   pm.service_jobs_queued = snap.service_jobs_queued;
   pm.service_jobs_dispatched = snap.service_jobs_dispatched;
@@ -299,6 +301,8 @@ support::JsonValue process_metrics_to_json(const ProcessMetrics& pm) {
   t.set("pool_fresh", pm.pool_fresh);
   t.set("pool_recycled", pm.pool_recycled);
   t.set("watchdog_trips", pm.watchdog_trips);
+  t.set("hang_proofs", pm.hang_proofs);
+  t.set("hang_steps_skipped", pm.hang_steps_skipped);
   t.set("worker_records", histogram_to_json(pm.worker_records));
   // The campaign-service counters ride in an optional sub-object emitted
   // only when a daemon actually recorded something: non-daemon artifacts
@@ -342,6 +346,8 @@ ProcessMetrics process_metrics_from_json(const support::JsonValue& v,
   pm.pool_fresh = require_u64(v, "pool_fresh", ctx);
   pm.pool_recycled = require_u64(v, "pool_recycled", ctx);
   pm.watchdog_trips = require_u64(v, "watchdog_trips", ctx);
+  pm.hang_proofs = require_u64(v, "hang_proofs", ctx);
+  pm.hang_steps_skipped = require_u64(v, "hang_steps_skipped", ctx);
   pm.worker_records = histogram_from_json(require(v, "worker_records", ctx),
                                           ctx + " worker_records");
   // Optional service section (absent in pre-service artifacts and whenever
@@ -366,6 +372,8 @@ void merge_process_metrics(ProcessMetrics& into, const ProcessMetrics& from) {
   into.pool_fresh += from.pool_fresh;
   into.pool_recycled += from.pool_recycled;
   into.watchdog_trips += from.watchdog_trips;
+  into.hang_proofs += from.hang_proofs;
+  into.hang_steps_skipped += from.hang_steps_skipped;
   into.worker_records.merge(from.worker_records);
   into.service_jobs_queued += from.service_jobs_queued;
   into.service_jobs_dispatched += from.service_jobs_dispatched;

@@ -80,6 +80,11 @@ struct ProcessMetrics {
   /// Boots killed by the wall-clock watchdog — host-speed dependent, hence
   /// a timing counter and never part of the deterministic section.
   uint64_t watchdog_trips = 0;
+  /// Hangs the bytecode VM proved by exact state repeat, and the budget
+  /// steps the proofs skipped. Whether a proof fires never changes a
+  /// record, so these are timing telemetry too.
+  uint64_t hang_proofs = 0;
+  uint64_t hang_steps_skipped = 0;
   support::Histogram worker_records;
   /// Campaign-service counters (support::MetricsSnapshot's service_* set).
   /// Serialized as an optional "service" sub-object only when any counter

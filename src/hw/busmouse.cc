@@ -21,6 +21,20 @@ void Busmouse::reset() {
   touched_ = false;
 }
 
+bool Busmouse::capture(support::StateCapture& out) const {
+  out.put(static_cast<uint8_t>(dx_));
+  out.put(static_cast<uint8_t>(dy_));
+  out.put(buttons_);
+  out.put(index_);
+  out.put(irq_disabled_ ? 1 : 0);
+  out.put(config_);
+  out.put(signature_);
+  out.put(garbage_);
+  out.put(motion_pending_ ? 1 : 0);
+  out.put(touched_ ? 1 : 0);
+  return true;
+}
+
 void Busmouse::preload_motion(int8_t dx, int8_t dy, uint8_t buttons) {
   poweron_dx_ = dx_ = dx;
   poweron_dy_ = dy_ = dy;

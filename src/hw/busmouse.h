@@ -27,6 +27,7 @@ class Busmouse final : public Device {
   uint32_t read(uint32_t offset, int width) override;
   void write(uint32_t offset, uint32_t value, int width) override;
   void reset() override;
+  [[nodiscard]] bool capture(support::StateCapture& out) const override;
 
   /// Test/bench hook: loads a pending motion report. Raises the wired IRQ
   /// line unless interrupts are disabled (power-on default); a report pended
@@ -62,10 +63,10 @@ class Busmouse final : public Device {
   uint8_t signature_ = 0xa5;
   uint8_t garbage_ = 0x50;  // rotated into irrelevant bits
   bool motion_pending_ = false;
-  uint64_t protocol_violations_ = 0;
+  uint64_t protocol_violations_ = 0;  // not captured: inspection-only
   bool touched_ = false;
   // Power-on motion state reset() restores (preload_motion overrides the
-  // all-zero default).
+  // all-zero default). Not captured: only reset() reads it.
   int8_t poweron_dx_ = 0;
   int8_t poweron_dy_ = 0;
   uint8_t poweron_buttons_ = 0;

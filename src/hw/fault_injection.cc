@@ -1,5 +1,6 @@
 #include "hw/fault_injection.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -125,6 +126,15 @@ void FaultInjector::reset() {
   fired_ = 0;
   raise_seq_ = 0;
   access_seq_ = 0;
+}
+
+bool FaultInjector::capture(support::StateCapture& out) const {
+  const uint64_t past = uint64_t{plan_.after} + 1;
+  out.put(std::min(matched_, past));
+  out.put(std::min(raise_seq_, past));
+  out.put(std::min(access_seq_, past));
+  out.put(std::min<uint64_t>(fired_, 1));
+  return inner_->capture(out);
 }
 
 void FaultInjector::attach_irq(IrqSink* sink, int line) {

@@ -110,6 +110,8 @@ class FaultInjector final : public Device, public IrqSink {
   [[nodiscard]] std::string damage_note() const override {
     return inner_->damage_note();
   }
+  /// The saturated trigger counters, then the wrapped device's capture.
+  [[nodiscard]] bool capture(support::StateCapture& out) const override;
 
   /// Splices into the raise chain: remembers `sink` as the forward target
   /// and re-points the wrapped device at this shim.
@@ -131,6 +133,9 @@ class FaultInjector final : public Device, public IrqSink {
   std::shared_ptr<Device> inner_;
   uint32_t port_base_;
   FaultPlan plan_;
+  // The sequence counters are only ever compared with plan_.after (<, ==,
+  // >), so a capture saturates them at plan_.after + 1. fired_ is only
+  // tested for > 0 after the boot and is captured saturated at 1.
   uint64_t matched_ = 0;
   uint64_t fired_ = 0;
   uint64_t raise_seq_ = 0;   // genuine raises seen on the target line

@@ -1,6 +1,8 @@
 #include "hw/ide_disk.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string_view>
 
 namespace hw {
 
@@ -89,6 +91,31 @@ void IdeDisk::reset() {
   partition_destroyed_ = false;
   protocol_violations_ = 0;
   sectors_read_ = 0;
+  sector_commits_ = 0;
+}
+
+bool IdeDisk::capture(support::StateCapture& out) const {
+  out.put(error_);
+  out.put(features_);
+  out.put(nsector_);
+  out.put(lba_low_);
+  out.put(lba_mid_);
+  out.put(lba_high_);
+  out.put(select_);
+  out.put(status_);
+  out.put(static_cast<uint64_t>(phase_));
+  out.put(static_cast<uint64_t>(busy_reads_));
+  out.put(static_cast<uint64_t>(drq_hold_));
+  out.put_bytes(std::string_view(reinterpret_cast<const char*>(buffer_.data()),
+                                 buffer_.size() * sizeof(uint16_t)));
+  out.put(buffer_pos_);
+  out.put(cur_lba_);
+  out.put(sectors_left_);
+  out.put(disk_written_ ? 1 : 0);
+  out.put(partition_destroyed_ ? 1 : 0);
+  out.put(std::min<uint64_t>(protocol_violations_, 9));
+  out.put(sector_commits_);
+  return true;
 }
 
 IdeDiskPool::IdeDiskPool()
@@ -287,6 +314,7 @@ void IdeDisk::finish_write_sector() {
   std::memcpy(&image_[cur_lba_ * kSectorWords], buffer_.data(),
               kSectorWords * sizeof(uint16_t));
   disk_written_ = true;
+  ++sector_commits_;
   if (cur_lba_ == 0) partition_destroyed_ = true;
   ++cur_lba_;
   --sectors_left_;

@@ -60,6 +60,7 @@ class IdeDisk final : public Device {
     return disk_written_ || protocol_violations_ > 8;
   }
   [[nodiscard]] std::string damage_note() const override;
+  [[nodiscard]] bool capture(support::StateCapture& out) const override;
 
   // --- inspection for the harness and tests ---
   [[nodiscard]] bool disk_written() const { return disk_written_; }
@@ -70,6 +71,8 @@ class IdeDisk final : public Device {
     return protocol_violations_;
   }
   [[nodiscard]] uint32_t sectors_read() const { return sectors_read_; }
+  /// Sectors WRITE SECTORS committed to the image since the last reset.
+  [[nodiscard]] uint64_t sector_commits() const { return sector_commits_; }
   [[nodiscard]] uint16_t disk_word(uint32_t sector, uint32_t word) const {
     return image_[sector * kSectorWords + word];
   }
@@ -90,7 +93,11 @@ class IdeDisk final : public Device {
   void build_identify();
 
   uint32_t total_sectors_;
+  // Not captured: during a boot finish_write_sector() is its only writer,
+  // so equal sector_commits_ in two captures prove the image did not change
+  // between them — and the 512 KiB image is never copied into a capture.
   std::vector<uint16_t> image_;
+  // Not captured: fixed after construction.
   std::vector<uint16_t> pristine_;
   std::array<uint16_t, kSectorWords> identify_{};
 
@@ -114,8 +121,10 @@ class IdeDisk final : public Device {
 
   bool disk_written_ = false;
   bool partition_destroyed_ = false;
+  // Captured saturated at 9: damaged() only tests `> 8`.
   uint64_t protocol_violations_ = 0;
-  uint32_t sectors_read_ = 0;
+  uint32_t sectors_read_ = 0;  // not captured: inspection-only
+  uint64_t sector_commits_ = 0;  // stands in for the image in a capture
 };
 
 /// Typed convenience wrapper over the generic `hw::DevicePool` for tests

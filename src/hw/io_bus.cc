@@ -47,6 +47,16 @@ void IoBus::irq_begin(bool handled) {
 
 void IoBus::irq_end() { ctrl_.end(); }
 
+bool IoBus::capture_state(support::StateCapture& out) const {
+  if (trace_enabled_ || irq_observer_ != nullptr) return false;
+  if (!ctrl_.capture(out)) return false;
+  for (const auto& m : mappings_) {
+    out.put(m.base);
+    if (!m.dev->capture(out)) return false;
+  }
+  return true;
+}
+
 IoBus::Mapping* IoBus::find(uint32_t port) {
   for (auto& m : mappings_) {
     if (port >= m.base && port < m.base + m.length) return &m;

@@ -46,6 +46,18 @@ class Device {
   [[nodiscard]] virtual bool damaged() const { return false; }
   [[nodiscard]] virtual std::string damage_note() const { return {}; }
 
+  /// Appends the device's exact state to `out` for the VM's hang proof:
+  /// every field a later read, write, damaged() or damage_note() can
+  /// observe. Counters that only feed a threshold may be saturated past it;
+  /// counters nothing but tests and tools inspect may be left out. Returns
+  /// false when the state cannot be captured — the default, so a device
+  /// that does not opt in (a tracing shim, a model nobody taught to
+  /// capture) keeps every boot on it burning the budget.
+  [[nodiscard]] virtual bool capture(support::StateCapture& out) const {
+    (void)out;
+    return false;
+  }
+
   /// Wires the device's interrupt output to `sink` on `line` (the bus calls
   /// this from map() when the mapping carries a line; shims override it to
   /// splice themselves into the raise chain). `sink == nullptr` detaches —
@@ -99,6 +111,12 @@ class IoBus final : public minic::IoEnvironment, public IrqSink {
   [[nodiscard]] int irq_pending() override;
   void irq_begin(bool handled) override;
   void irq_end() override;
+  /// Composes the controller's and every mapped device's capture. Fails
+  /// while the access trace or an IRQ observer is attached (both record
+  /// step-stamped history a repeat would not reproduce), while an event is
+  /// queued, or when any device cannot capture. The unmapped-access count
+  /// is inspection-only and stays out.
+  [[nodiscard]] bool capture_state(support::StateCapture& out) const override;
 
   [[nodiscard]] const IrqController& irq_controller() const { return ctrl_; }
 
@@ -136,7 +154,7 @@ class IoBus final : public minic::IoEnvironment, public IrqSink {
   std::vector<IoAccess> trace_;
   bool trace_enabled_ = false;
   size_t trace_cap_ = 4096;
-  uint64_t unmapped_ = 0;
+  uint64_t unmapped_ = 0;  // not captured: inspection-only
   IrqController ctrl_;
   IrqObserver* irq_observer_ = nullptr;
 };
@@ -166,6 +184,11 @@ class IrqStatusPort final : public Device {
     (void)width;
   }
   void reset() override {}
+  /// Stateless: the bitmap it shows is part of the controller's capture.
+  [[nodiscard]] bool capture(support::StateCapture& out) const override {
+    (void)out;
+    return true;
+  }
 
  private:
   const IrqController* ctrl_;

@@ -47,6 +47,14 @@ void IrqController::end() {
   in_service_genuine_ = false;
 }
 
+bool IrqController::capture(support::StateCapture& out) const {
+  if (!queue_.empty()) return false;
+  out.put(isr_);
+  out.put(static_cast<uint64_t>(in_service_line_));
+  out.put(in_service_genuine_ ? 1 : 0);
+  return true;
+}
+
 void IrqController::clear() {
   queue_.clear();
   next_seq_ = 0;

@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/state_capture.h"
+
 namespace hw {
 
 /// Where a device (or an interposing shim) delivers a raised IRQ line.
@@ -88,6 +90,11 @@ class IrqController {
   /// Back to power-on: no queued events, no in-service lines, counters 0.
   void clear();
 
+  /// Appends the in-service state for the VM's hang proof. Fails while any
+  /// event is queued: its due step is absolute, so a later repeat of every
+  /// other field would still deliver it at a different point.
+  [[nodiscard]] bool capture(support::StateCapture& out) const;
+
  private:
   struct Pending {
     uint64_t seq = 0;
@@ -97,11 +104,15 @@ class IrqController {
   };
 
   std::vector<Pending> queue_;  // FIFO by seq
+  // Not captured: only stamps queued events, and a capture needs the queue
+  // empty.
   uint64_t next_seq_ = 0;
+  // Not captured: a memo pending() sets for the begin() right after it.
   size_t pending_ix_ = static_cast<size_t>(-1);
   uint32_t isr_ = 0;
   int in_service_line_ = -1;
   bool in_service_genuine_ = false;
+  // Not captured: inspection-only counts no driver or post-boot check reads.
   uint64_t raised_ = 0;
   uint64_t delivered_ = 0;
   uint64_t dropped_ = 0;

@@ -70,6 +70,11 @@ enum class ExprKind {
   kCast,       // (type) sub[0]
 };
 
+/// Slabs the AST node pool (ast_pool.cc) has carved so far, Expr and Stmt
+/// pools together; 0 when the pool is bypassed (sanitizer builds). Slabs
+/// are never freed, so this is the pool's footprint.
+[[nodiscard]] size_t ast_pool_slabs();
+
 struct Expr {
   /// AST nodes dominate the per-mutant parse's allocation churn, so they
   /// come from a thread-cached slab pool (ast_pool.cc) instead of the

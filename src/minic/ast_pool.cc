@@ -9,9 +9,11 @@
 //     node may be allocated on one thread (a campaign worker parsing a
 //     mutant) and freed on another (the main thread destroying a Program)
 //     without any lifetime coupling to either thread;
-//   - a dying thread donates its free list back to the registry, and fresh
-//     threads adopt donated lists before carving new slabs, so repeated
-//     campaigns (each spawns fresh workers) reuse the same memory.
+//   - a dying thread donates its free list back to the registry in
+//     slab-sized chunks, and a thread that runs dry adopts one chunk before
+//     carving a new slab, so repeated campaigns (each spawns fresh workers)
+//     share the donated memory among all their workers instead of handing
+//     it all to whichever refills first while the rest carve anew.
 // The registry is reachable from a leaked function-local static, which
 // keeps LeakSanitizer quiet (still-reachable memory is not a leak) and
 // makes it safe for thread-local cache destructors to run at any point of
@@ -55,26 +57,38 @@ class SlabRegistry {
     return head;
   }
 
-  void donate(FreeNode* head) {
-    if (!head) return;
-    FreeNode* tail = head;
-    while (tail->next) tail = tail->next;
+  /// Parks a free list as chunks of at most `chunk` nodes.
+  void donate(FreeNode* head, size_t chunk) {
+    std::vector<FreeNode*> chunks;
+    while (head) {
+      FreeNode* last = head;
+      for (size_t n = 1; n < chunk && last->next; ++n) last = last->next;
+      chunks.push_back(head);
+      head = last->next;
+      last->next = nullptr;
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    tail->next = donated_;
-    donated_ = head;
+    donated_.insert(donated_.end(), chunks.begin(), chunks.end());
   }
 
+  /// One donated chunk, or null when none is parked.
   FreeNode* adopt() {
     std::lock_guard<std::mutex> lock(mu_);
-    FreeNode* head = donated_;
-    donated_ = nullptr;
+    if (donated_.empty()) return nullptr;
+    FreeNode* head = donated_.back();
+    donated_.pop_back();
     return head;
+  }
+
+  size_t slabs() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return slabs_.size();
   }
 
  private:
   std::mutex mu_;
   std::vector<char*> slabs_;
-  FreeNode* donated_ = nullptr;
+  std::vector<FreeNode*> donated_;
 };
 
 template <size_t kSlotSize>
@@ -95,10 +109,12 @@ class NodePool {
     c.head = n;
   }
 
+  static size_t slabs() { return registry().slabs(); }
+
  private:
   struct Cache {
     FreeNode* head = nullptr;
-    ~Cache() { registry().donate(head); }
+    ~Cache() { registry().donate(head, kSlabNodes); }
   };
 
   static Cache& cache() {
@@ -145,6 +161,15 @@ void pool_delete(void* p, size_t size) noexcept {
 }
 
 }  // namespace
+
+size_t ast_pool_slabs() {
+  if (!kUsePool) return 0;
+  size_t n = NodePool<sizeof(Expr)>::slabs();
+  if constexpr (sizeof(Stmt) != sizeof(Expr)) {
+    n += NodePool<sizeof(Stmt)>::slabs();
+  }
+  return n;
+}
 
 void* Expr::operator new(std::size_t size) { return pool_new<Expr>(size); }
 void Expr::operator delete(void* p, std::size_t size) noexcept {

@@ -3,6 +3,9 @@
 // messages must stay byte-identical — the campaign records carry them.
 #include "minic/bytecode/vm.h"
 
+#include <algorithm>
+
+#include "support/metrics.h"
 #include "support/strings.h"
 
 namespace minic::bytecode {
@@ -65,6 +68,15 @@ const std::string& empty_string() {
   return empty;
 }
 
+void put_value(support::StateCapture& cap, const VmValue& v) {
+  cap.put(static_cast<uint64_t>(v.i));
+  cap.put_bytes(v.s);
+  cap.put(v.fields.size());
+  for (const VmValue& f : v.fields) put_value(cap, f);
+  cap.put(v.arr.size());
+  for (int64_t e : v.arr) cap.put(static_cast<uint64_t>(e));
+}
+
 }  // namespace
 
 Vm::Vm(const Module& module, IoEnvironment& io, uint64_t step_budget)
@@ -117,6 +129,73 @@ void Vm::check_watchdog() {
                 "watchdog: boot exceeded " + std::to_string(watchdog_ms_) +
                     " ms wall-clock cap"};
   }
+}
+
+bool Vm::capture_state(const CompiledFunction* fn, size_t pc,
+                       const RunOutcome& out,
+                       support::StateCapture& cap) const {
+  // Outside IRQ handlers only one exec level is live, so frame k belongs to
+  // calls_[k].fn and the last frame to `fn`.
+  if (frames_.size() != calls_.size() + 1) return false;
+  cap.clear();
+  cap.put(reinterpret_cast<uintptr_t>(fn));
+  cap.put(pc);
+  cap.put(static_cast<uint64_t>(depth_));
+  cap.put(static_cast<uint64_t>(stored_));
+  // The log only grows, so equal lengths mean nothing was printed in
+  // between; a loop that prints never repeats.
+  cap.put(out.log.size());
+  for (const CompiledFunction* h : irq_handlers_) {
+    cap.put(reinterpret_cast<uintptr_t>(h));
+  }
+  for (size_t k = 0; k < frames_.size(); ++k) {
+    const CompiledFunction* f = fn;
+    if (k < calls_.size()) {
+      f = calls_[k].fn;
+      cap.put(calls_[k].pc);
+      cap.put(calls_[k].dst);
+    }
+    // Only the function's own registers: a pooled frame may be longer, and
+    // its tail is never read.
+    for (uint32_t r = 0; r < f->nregs; ++r) put_value(cap, frames_[k][r]);
+  }
+  for (const VmValue& g : globals_) put_value(cap, g);
+  return io_.capture_state(cap);
+}
+
+void Vm::hang_probe(const CompiledFunction* fn, size_t pc,
+                    const RunOutcome& out) {
+  if (in_irq_) return;
+  if (!capture_state(fn, pc, out, hang_scratch_)) {
+    // Not capturable now (e.g. an IRQ event is queued): restart the search
+    // another warm-up later.
+    hang_have_saved_ = false;
+    hang_power_ = 1;
+    probe_below_ =
+        steps_left_ > kHangWarmupSteps ? steps_left_ - kHangWarmupSteps : 0;
+    return;
+  }
+  if (hang_have_saved_ && hang_scratch_ == hang_saved_) {
+    // Every loop iteration charges, so the period is never 0.
+    const uint64_t period = hang_saved_left_ - steps_left_;
+    const uint64_t before = steps_left_;
+    steps_left_ %= period;
+    probe_below_ = 0;
+    support::Metrics::add_hang_proof(before - steps_left_);
+    return;
+  }
+  if (hang_have_saved_ && ++hang_lam_ < hang_power_) return;
+  if (hang_have_saved_) {
+    hang_power_ *= 2;
+    if (hang_power_ > kHangMaxPower) {
+      probe_below_ = 0;  // no repeat found: burn the budget
+      return;
+    }
+  }
+  hang_saved_.swap(hang_scratch_);
+  hang_saved_left_ = steps_left_;
+  hang_have_saved_ = true;
+  hang_lam_ = 0;
 }
 
 template <bool kProfile>
@@ -176,6 +255,16 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
   do {                                      \
     if ((insn).flags == 0) CHARGE((insn).line); \
   } while (0)
+// A jump that may close a loop: backward targets past the warm-up feed the
+// hang search (compiled out of the profiling loop).
+#define JUMP(target)                                                  \
+  do {                                                                \
+    const size_t to = static_cast<size_t>(target);                    \
+    if constexpr (!kProfile) {                                        \
+      if (steps_left_ < probe_below_ && to < pc) hang_probe(fn, to, out); \
+    }                                                                 \
+    pc = to;                                                          \
+  } while (0)
 
   for (;;) {
     const Insn& in = code[pc++];
@@ -196,20 +285,22 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         break;
       case Op::kStepJump:
         CHG(in);
-        pc = static_cast<size_t>(in.imm);
+        JUMP(in.imm);
         break;
       case Op::kMark:
         out.executed.set(in.line);
         break;
       // --- control flow ---------------------------------------------------
+      // Loop back-edges are kJump/kStepJump (while, for, continue) and
+      // kJumpIfNotZero (do-while); every other jump only goes forward.
       case Op::kJump:
-        pc = static_cast<size_t>(in.imm);
+        JUMP(in.imm);
         break;
       case Op::kJumpIfZero:
         if (R[in.a].i == 0) pc = static_cast<size_t>(in.imm);
         break;
       case Op::kJumpIfNotZero:
-        if (R[in.a].i != 0) pc = static_cast<size_t>(in.imm);
+        if (R[in.a].i != 0) JUMP(in.imm);
         break;
       case Op::kJumpIfEqual:
         if (R[in.a].i == R[in.b].i) pc = static_cast<size_t>(in.imm);
@@ -888,9 +979,20 @@ RunOutcome Vm::run(const std::string& entry) {
   globals_.resize(mod_.global_count);
   irq_handlers_.fill(nullptr);
   in_irq_ = false;
+  hang_have_saved_ = false;
+  hang_power_ = 1;
+  hang_lam_ = 0;
+  probe_below_ = profile_ == nullptr && budget_ > kHangWarmupSteps
+                     ? budget_ - kHangWarmupSteps
+                     : 0;
   if (watchdog_ms_ != 0) {
     watchdog_deadline_ = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(watchdog_ms_);
+    // An armed watchdog keeps the say while more than 1000 steps per
+    // millisecond of its cap remain: a proof then could pre-empt a trip.
+    if (watchdog_ms_ < UINT64_MAX / 1000 - 1) {
+      probe_below_ = std::min(probe_below_, 1000 * (watchdog_ms_ + 1));
+    }
   }
   io_.bind_step_probe(&steps_left_, budget_);
   try {

@@ -14,6 +14,7 @@
 
 #include "minic/bytecode/bytecode.h"
 #include "minic/interp.h"
+#include "support/state_capture.h"
 
 namespace minic::bytecode {
 
@@ -38,6 +39,25 @@ class Vm {
   void set_watchdog_ms(uint64_t ms) { watchdog_ms_ = ms; }
 
  private:
+  // Hang proof. Past the first 2^16 retired steps, every loop back-edge
+  // feeds Brent's cycle detection with an exact capture of the machine: VM
+  // frames, call stack, globals, the last stored value, call depth, IRQ
+  // handler table, printk log length, and the IoEnvironment's hardware
+  // capture. Two equal captures prove the boot can never terminate: from
+  // the repeated state the same `period` steps recur forever. The VM then
+  // sets `steps_left_ %= period` and keeps running, so the boot exhausts on
+  // the same instruction, with the same fault text, steps_used and
+  // executed-line bitmap as burning the whole budget would (every line of
+  // the cycle is already marked). The walker never proves and stays the
+  // burning oracle. No proof is tried inside IRQ handlers, with an opcode
+  // profile set, while the armed watchdog could trip before the budget runs
+  // out (more than 1000 steps left per watchdog millisecond), or while the
+  // environment cannot capture (an IRQ event queued, the bus trace or the
+  // flight recorder attached, a device that does not capture); a state that
+  // never repeats within 2^10 back-edges of the search also burns.
+  static constexpr uint64_t kHangWarmupSteps = uint64_t{1} << 16;
+  static constexpr uint64_t kHangMaxPower = uint64_t{1} << 10;
+
   /// Interrupt lines modelled; mirrors the walker's kIrqLines and
   /// hw::IrqController::kLines.
   static constexpr int kIrqLines = 8;
@@ -53,6 +73,12 @@ class Vm {
   template <bool kProfile>
   void poll_irqs(RunOutcome& out);
   void check_watchdog();
+  /// One back-edge of the hang search; `fn`/`pc` are the loop head.
+  void hang_probe(const CompiledFunction* fn, size_t pc,
+                  const RunOutcome& out);
+  [[nodiscard]] bool capture_state(const CompiledFunction* fn, size_t pc,
+                                   const RunOutcome& out,
+                                   support::StateCapture& cap) const;
   void push_frame(const CompiledFunction& fn, const VmValue* caller_regs,
                   uint32_t argbase);
   void pop_frame();
@@ -84,6 +110,17 @@ class Vm {
   /// Wall-clock boot containment; 0 disables (the default).
   uint64_t watchdog_ms_ = 0;
   std::chrono::steady_clock::time_point watchdog_deadline_{};
+  /// Back-edges run the hang search only while steps_left_ is below this
+  /// (0 = never: profiling, a budget under the warm-up, after a proof).
+  uint64_t probe_below_ = 0;
+  /// Brent's search: the saved capture (tortoise), its steps_left_, the
+  /// current power-of-two window and the back-edges seen inside it.
+  support::StateCapture hang_saved_;
+  support::StateCapture hang_scratch_;
+  bool hang_have_saved_ = false;
+  uint64_t hang_saved_left_ = 0;
+  uint64_t hang_power_ = 1;
+  uint64_t hang_lam_ = 0;
 };
 
 }  // namespace minic::bytecode

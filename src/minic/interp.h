@@ -17,6 +17,7 @@
 
 #include "minic/ast.h"
 #include "support/line_bitmap.h"
+#include "support/state_capture.h"
 
 namespace minic {
 
@@ -72,6 +73,16 @@ class IoEnvironment {
   [[nodiscard]] virtual int irq_pending() { return -1; }
   virtual void irq_begin(bool handled) { (void)handled; }
   virtual void irq_end() {}
+
+  /// Appends the exact hardware state behind this environment to `out`
+  /// (the bytecode VM's hang proof compares captures taken at loop
+  /// back-edges). Returns false when the state cannot be captured exactly —
+  /// the default, so an environment that does not opt in never has a hang
+  /// proved against it and its boots burn the step budget as before.
+  [[nodiscard]] virtual bool capture_state(support::StateCapture& out) const {
+    (void)out;
+    return false;
+  }
 
  private:
   const uint64_t* probe_steps_left_ = nullptr;

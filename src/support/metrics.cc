@@ -85,6 +85,13 @@ void Metrics::add_watchdog_trip() {
   ++g_metrics.watchdog_trips;
 }
 
+void Metrics::add_hang_proof(uint64_t steps_skipped) {
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(g_metrics_mu);
+  ++g_metrics.hang_proofs;
+  g_metrics.hang_steps_skipped += steps_skipped;
+}
+
 void Metrics::add_worker_records(const std::vector<uint64_t>& shares) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(g_metrics_mu);

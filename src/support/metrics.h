@@ -82,6 +82,12 @@ struct MetricsSnapshot {
   /// Non-deterministic by nature — a trip depends on host speed — which is
   /// why it lives here and never in the deterministic campaign counters.
   uint64_t watchdog_trips = 0;
+  /// Boots whose infinite loop the bytecode VM proved by an exact state
+  /// repeat, and the steps those proofs skipped instead of burning. Their
+  /// records are byte-identical to burning the budget; the counts are
+  /// telemetry about how the outcome was reached, so they live here.
+  uint64_t hang_proofs = 0;
+  uint64_t hang_steps_skipped = 0;
   Histogram worker_records;  // one sample per worker per parallel phase
   /// Campaign-service counters (src/serve): jobs accepted onto the queue,
   /// jobs that actually fanned out to shard workers, jobs answered from the
@@ -108,6 +114,8 @@ class Metrics {
   static void add_pool_fresh(uint64_t n);
   static void add_pool_recycled(uint64_t n);
   static void add_watchdog_trip();
+  /// One proved hang that skipped `steps_skipped` steps of budget burn.
+  static void add_hang_proof(uint64_t steps_skipped);
   /// Records how many parallel-phase indices each worker executed.
   static void add_worker_records(const std::vector<uint64_t>& shares);
   /// Campaign-service counters (see MetricsSnapshot).

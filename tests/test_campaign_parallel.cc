@@ -65,6 +65,23 @@ TEST(ParallelCampaign, CDevilDriverIdenticalAtAnyThreadCount) {
   expect_identical(serial, parallel);
 }
 
+TEST(ParallelCampaign, RepeatedCampaignsReuseAstSlabs) {
+  // Every campaign spawns fresh workers, which parse mutant tails out of the
+  // AST slab pool and donate their free lists when they exit. Once the pool
+  // has warmed up, further campaigns must be served from donated memory:
+  // the slab count (the pool's footprint, never freed) stays flat.
+  eval::DriverCampaignConfig cfg;
+  cfg.driver = corpus::c_ide_driver();
+  cfg.device = eval::ide_binding();
+  cfg.sample_percent = 10;
+  cfg.bytecode_patch = false;  // every mutant parses its tail
+  cfg.threads = 4;
+  for (int i = 0; i < 3; ++i) (void)eval::run_driver_campaign(cfg);
+  const size_t warm = minic::ast_pool_slabs();
+  for (int i = 0; i < 8; ++i) (void)eval::run_driver_campaign(cfg);
+  EXPECT_EQ(minic::ast_pool_slabs(), warm);
+}
+
 TEST(ParallelCampaign, SpecCampaignIdenticalAtAnyThreadCount) {
   const auto& spec = corpus::all_specs()[0];
   auto serial = eval::run_spec_campaign(spec);
