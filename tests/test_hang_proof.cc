@@ -7,6 +7,8 @@
 // fallbacks, and at every budget across a proven loop's period.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "minic/program.h"
 #include "mutation/c_mutator.h"
 #include "support/metrics.h"
+#include "support/parallel.h"
 
 namespace {
 
@@ -56,10 +59,43 @@ class ProofCounter {
   uint64_t start_ = 0;
 };
 
-minic::Program compile_on(const std::string& stubs, const std::string& text) {
+std::shared_ptr<minic::Program> compile_on(const std::string& stubs,
+                                           const std::string& text) {
   auto prefix = minic::prepare_prefix(
       "unit.c", stubs.empty() ? std::string() : stubs + "\n");
-  return minic::compile_with_prefix(prefix, text);
+  return std::make_shared<minic::Program>(
+      minic::compile_with_prefix(prefix, text));
+}
+
+/// One budget-exhausting campaign boot, replayable on either engine. `fired`
+/// reports whether a fault injector triggered (false without one).
+struct Replay {
+  std::string label;
+  std::function<minic::RunOutcome(ExecEngine engine, bool* fired)> boot;
+};
+
+/// Replays every boot on both engines, spread over all cores, checks that
+/// walker and VM agree, and returns the hang proofs the VM boots made.
+uint64_t replay_on_both_engines(const std::vector<Replay>& replays) {
+  std::vector<minic::RunOutcome> walker(replays.size());
+  std::vector<minic::RunOutcome> vm(replays.size());
+  std::vector<uint8_t> walker_fired(replays.size());
+  std::vector<uint8_t> vm_fired(replays.size());
+  ProofCounter counter;
+  support::parallel_for(replays.size(), 0, [&](size_t i) {
+    bool fired = false;
+    walker[i] = replays[i].boot(ExecEngine::kTreeWalker, &fired);
+    walker_fired[i] = fired;
+    vm[i] = replays[i].boot(ExecEngine::kBytecodeVm, &fired);
+    vm_fired[i] = fired;
+  });
+  const uint64_t proofs = counter.proofs();
+  for (size_t i = 0; i < replays.size(); ++i) {
+    EXPECT_EQ(vm[i].fault, minic::FaultKind::kStepLimit) << replays[i].label;
+    expect_same_outcome(walker[i], vm[i], replays[i].label);
+    EXPECT_EQ(walker_fired[i], vm_fired[i]) << replays[i].label;
+  }
+  return proofs;
 }
 
 // ---------------------------------------------------------------------------
@@ -69,95 +105,81 @@ minic::Program compile_on(const std::string& stubs, const std::string& text) {
 TEST(HangProof, Tables34HangBootsMatchTheWalker) {
   eval::CampaignSpec spec;
   spec.threads = 0;
-  size_t hangs = 0;
-  uint64_t proofs = 0;
+  std::vector<Replay> replays;
   for (const auto& drivers : eval::campaign_spec_corpus(spec)) {
     eval::DeviceCampaignConfigs cfgs = eval::driver_configs_for(spec, drivers);
-    for (const eval::DriverCampaignConfig* cfg : {&cfgs.c, &cfgs.cdevil}) {
-      const auto result = eval::run_driver_campaign(*cfg);
+    for (const eval::DriverCampaignConfig& cfg : {cfgs.c, cfgs.cdevil}) {
+      const auto result = eval::run_driver_campaign(cfg);
       mutation::CScanOptions scan;
       scan.classes =
-          cfg->is_cdevil
-              ? mutation::classes_for_cdevil_driver(cfg->stubs, cfg->driver)
-              : mutation::classes_for_c_driver(cfg->driver);
-      const auto sites = mutation::scan_c_sites(cfg->driver, scan);
+          cfg.is_cdevil
+              ? mutation::classes_for_cdevil_driver(cfg.stubs, cfg.driver)
+              : mutation::classes_for_c_driver(cfg.driver);
+      const auto sites = mutation::scan_c_sites(cfg.driver, scan);
       const auto mutants = mutation::generate_c_mutants(sites, scan.classes);
       for (const eval::MutantRecord& rec : result.records) {
         if (rec.outcome != eval::Outcome::kInfiniteLoop || rec.deduped) {
           continue;
         }
-        ++hangs;
         const std::string label = drivers.device + std::string(" ") +
-                                  (cfg->is_cdevil ? "CDevil" : "C") +
+                                  (cfg.is_cdevil ? "CDevil" : "C") +
                                   " mutant #" +
                                   std::to_string(rec.mutant_index);
         auto prog = compile_on(
-            cfg->stubs, mutation::apply_mutant(cfg->driver, sites,
-                                               mutants[rec.mutant_index]));
-        ASSERT_TRUE(prog.ok()) << label;
-        auto boot = [&](ExecEngine engine) {
-          hw::IoBus bus;
-          eval::map_bound_device(bus, cfg->device, cfg->device.make_device());
-          return minic::run_unit(*prog.unit, bus, cfg->device.entry,
-                                 cfg->step_budget, engine, nullptr,
-                                 cfg->watchdog_ms);
-        };
-        const auto walker = boot(ExecEngine::kTreeWalker);
-        ProofCounter counter;
-        const auto vm = boot(ExecEngine::kBytecodeVm);
-        proofs += counter.proofs();
-        EXPECT_EQ(vm.fault, minic::FaultKind::kStepLimit) << label;
-        expect_same_outcome(walker, vm, label);
+            cfg.stubs, mutation::apply_mutant(cfg.driver, sites,
+                                              mutants[rec.mutant_index]));
+        ASSERT_TRUE(prog->ok()) << label;
+        replays.push_back({label, [prog, cfg](ExecEngine engine, bool*) {
+                             hw::IoBus bus;
+                             eval::map_bound_device(bus, cfg.device,
+                                                    cfg.device.make_device());
+                             return minic::run_unit(
+                                 *prog->unit, bus, cfg.device.entry,
+                                 cfg.step_budget, engine, nullptr,
+                                 cfg.watchdog_ms);
+                           }});
       }
     }
   }
-  EXPECT_GE(hangs, 94u);
-  EXPECT_GE(proofs, 88u);
+  EXPECT_GE(replays.size(), 94u);
+  EXPECT_GE(replay_on_both_engines(replays), 88u);
 }
 
 TEST(HangProof, FaultHangScenariosMatchTheWalker) {
   eval::CampaignSpec spec;
   spec.kind = eval::CampaignKind::kFault;
   spec.threads = 0;
-  size_t hangs = 0;
-  uint64_t proofs = 0;
+  std::vector<Replay> replays;
   for (const auto& drivers : eval::campaign_spec_corpus(spec)) {
     eval::DeviceFaultConfigs cfgs = eval::fault_configs_for(spec, drivers);
-    for (const eval::FaultCampaignConfig* cfg : {&cfgs.c, &cfgs.cdevil}) {
-      const eval::DriverCampaignConfig& base = cfg->base;
-      const auto result = eval::run_fault_campaign(*cfg);
+    for (const eval::FaultCampaignConfig& cfg : {cfgs.c, cfgs.cdevil}) {
+      const eval::DriverCampaignConfig& base = cfg.base;
+      const auto result = eval::run_fault_campaign(cfg);
       auto prog = compile_on(base.stubs, base.driver);
-      ASSERT_TRUE(prog.ok()) << drivers.device;
+      ASSERT_TRUE(prog->ok()) << drivers.device;
       for (const eval::FaultRecord& rec : result.records) {
         if (rec.outcome != eval::FaultOutcome::kHang) continue;
-        ++hangs;
         const std::string label = drivers.device + std::string(" ") +
                                   (base.is_cdevil ? "CDevil" : "C") + " [" +
                                   rec.plan.describe() + "]";
-        auto boot = [&](ExecEngine engine, bool* fired) {
-          hw::IoBus bus;
-          auto shim = std::make_shared<hw::FaultInjector>(
-              base.device.make_device(), base.device.port_base, rec.plan);
-          eval::map_bound_device(bus, base.device, shim);
-          auto run = minic::run_unit(*prog.unit, bus, base.device.entry,
-                                     base.step_budget, engine, nullptr,
-                                     base.watchdog_ms);
-          *fired = shim->fired() > 0;
-          return run;
-        };
-        bool walker_fired = false;
-        bool vm_fired = false;
-        const auto walker = boot(ExecEngine::kTreeWalker, &walker_fired);
-        ProofCounter counter;
-        const auto vm = boot(ExecEngine::kBytecodeVm, &vm_fired);
-        proofs += counter.proofs();
-        expect_same_outcome(walker, vm, label);
-        EXPECT_EQ(walker_fired, vm_fired) << label;
+        replays.push_back(
+            {label, [prog, base, plan = rec.plan](ExecEngine engine,
+                                                  bool* fired) {
+               hw::IoBus bus;
+               auto shim = std::make_shared<hw::FaultInjector>(
+                   base.device.make_device(), base.device.port_base, plan);
+               eval::map_bound_device(bus, base.device, shim);
+               auto run = minic::run_unit(*prog->unit, bus, base.device.entry,
+                                          base.step_budget, engine, nullptr,
+                                          base.watchdog_ms);
+               *fired = shim->fired() > 0;
+               return run;
+             }});
       }
     }
   }
-  EXPECT_GE(hangs, 60u);
-  EXPECT_GE(proofs, 60u);
+  EXPECT_GE(replays.size(), 60u);
+  EXPECT_GE(replay_on_both_engines(replays), 60u);
 }
 
 // ---------------------------------------------------------------------------
