@@ -4,39 +4,43 @@
 
 #include "devil/lexer.h"
 #include "devil/parser.h"
+#include "support/metrics.h"
 
 namespace devil {
 
-namespace {
-CompileResult run(const std::string& name, const std::string& text,
-                  std::optional<CodegenMode> mode) {
-  CompileResult result;
-  support::SourceBuffer buf(name, text);
+std::vector<Token> lex_spec(const support::SourceBuffer& buf,
+                            CompileResult& result) {
+  support::StageTimer timer(support::Stage::kDevilLex);
   Lexer lexer(buf, result.diags);
-  auto tokens = lexer.lex_all();
-  if (result.diags.has_errors()) return result;
+  return lexer.lex_all();
+}
 
-  Parser parser(std::move(tokens), result.diags);
-  auto spec = parser.parse();
-  if (!spec) return result;
-  result.spec = std::make_unique<Specification>(std::move(*spec));
-
+void check_tokens(std::vector<Token> tokens, CompileResult& result) {
+  if (result.diags.has_errors()) return;
+  {
+    support::StageTimer timer(support::Stage::kDevilParse);
+    Parser parser(std::move(tokens), result.diags);
+    auto spec = parser.parse();
+    if (!spec) return;
+    result.spec = std::make_unique<Specification>(std::move(*spec));
+  }
+  support::StageTimer timer(support::Stage::kDevilSema);
   Sema sema(result.diags);
   result.info = sema.check(*result.spec);
-  if (!result.info) return result;
-
-  if (mode) result.stubs = generate_stubs(*result.info, *mode, name);
-  return result;
 }
-}  // namespace
 
 CompileResult compile_spec(const std::string& name, const std::string& text,
                            CodegenMode mode) {
-  return run(name, text, mode);
+  CompileResult result = check_spec(name, text);
+  if (result.ok()) result.stubs = generate_stubs(*result.info, mode, name);
+  return result;
 }
 
 CompileResult check_spec(const std::string& name, const std::string& text) {
-  return run(name, text, std::nullopt);
+  CompileResult result;
+  support::SourceBuffer buf(name, text);
+  check_tokens(lex_spec(buf, result), result);
+  return result;
 }
 
 std::string describe_device(const DeviceInfo& info) {

@@ -102,19 +102,14 @@ PortParam Parser::parse_port_param() {
   expect(TokKind::kColon, "after port parameter name");
   expect(TokKind::kKwBit, "in port parameter type");
   expect(TokKind::kLBracket, "in port width");
-  p.width_bits = static_cast<int>(parse_int("port width"));
+  p.width_bits = parse_size("port width");
   expect(TokKind::kRBracket, "after port width");
   expect(TokKind::kKwPort, "in port parameter type");
   expect(TokKind::kAt, "before the port offset range");
   expect(TokKind::kLBrace, "to open the offset range");
   do {
-    uint64_t lo = parse_int("offset");
-    if (accept(TokKind::kDotDot)) {
-      uint64_t hi = parse_int("range upper bound");
-      for (uint64_t v = lo; v <= hi; ++v) p.offsets.push_back(v);
-      if (lo > hi) p.has_empty_range = true;  // sema reports DVL102
-    } else {
-      p.offsets.push_back(lo);
+    if (!parse_values(p.offsets, "offset", "range upper bound")) {
+      p.has_empty_range = true;  // sema reports DVL102
     }
   } while (accept(TokKind::kComma));
   expect(TokKind::kRBrace, "to close the offset range");
@@ -204,7 +199,7 @@ RegisterDecl Parser::parse_register() {
   expect(TokKind::kColon, "before register size");
   expect(TokKind::kKwBit, "in register size");
   expect(TokKind::kLBracket, "in register size");
-  reg.size_bits = static_cast<int>(parse_int("register size"));
+  reg.size_bits = parse_size("register size");
   expect(TokKind::kRBracket, "after register size");
   expect(TokKind::kSemi, "to end the register declaration");
   return reg;
@@ -222,9 +217,9 @@ RegFragment Parser::parse_fragment() {
   f.reg = advance().text;
   if (accept(TokKind::kLBracket)) {
     f.has_range = true;
-    f.msb = static_cast<int>(parse_int("bit index"));
+    f.msb = parse_size("bit index");
     if (accept(TokKind::kDotDot)) {
-      f.lsb = static_cast<int>(parse_int("bit index"));
+      f.lsb = parse_size("bit index");
     } else {
       f.lsb = f.msb;
     }
@@ -275,7 +270,7 @@ TypeExpr Parser::parse_type() {
     ty.kind = TypeKind::kSignedInt;
     expect(TokKind::kKwInt, "after 'signed'");
     expect(TokKind::kLParen, "in integer type");
-    ty.width_bits = static_cast<int>(parse_int("type width"));
+    ty.width_bits = parse_size("type width");
     expect(TokKind::kRParen, "after type width");
     return ty;
   }
@@ -287,20 +282,14 @@ TypeExpr Parser::parse_type() {
   if (accept(TokKind::kKwInt)) {
     if (accept(TokKind::kLParen)) {
       ty.kind = TypeKind::kInt;
-      ty.width_bits = static_cast<int>(parse_int("type width"));
+      ty.width_bits = parse_size("type width");
       expect(TokKind::kRParen, "after type width");
       return ty;
     }
     expect(TokKind::kLBrace, "in integer-set type");
     ty.kind = TypeKind::kIntSet;
     do {
-      uint64_t lo = parse_int("set element");
-      if (accept(TokKind::kDotDot)) {
-        uint64_t hi = parse_int("set range upper bound");
-        for (uint64_t v = lo; v <= hi; ++v) ty.set_values.push_back(v);
-      } else {
-        ty.set_values.push_back(lo);
-      }
+      parse_values(ty.set_values, "set element", "set range upper bound");
     } while (accept(TokKind::kComma));
     expect(TokKind::kRBrace, "to close the integer-set type");
     return ty;
@@ -348,6 +337,42 @@ VariableDecl Parser::parse_variable(bool is_private) {
   var.type = parse_type();
   expect(TokKind::kSemi, "to end the variable declaration");
   return var;
+}
+
+int Parser::parse_size(const char* what) {
+  support::SourceLoc loc = peek().range.begin;
+  uint64_t v = parse_int(what);
+  if (v > kMaxExpansion) {
+    diags_.error("DVL039", loc,
+                 std::string(what) + " " + std::to_string(v) +
+                     " is above the limit of " +
+                     std::to_string(kMaxExpansion));
+    fail();
+  }
+  return static_cast<int>(v);
+}
+
+bool Parser::parse_values(std::vector<uint64_t>& out, const char* what,
+                          const char* upper_what) {
+  support::SourceLoc loc = peek().range.begin;
+  uint64_t lo = parse_int(what);
+  uint64_t hi = lo;
+  if (accept(TokKind::kDotDot)) {
+    hi = parse_int(upper_what);
+    if (lo > hi) return false;
+  }
+  // hi - lo + 1 wraps to 0 for the whole uint64 range: compare the span.
+  if (out.size() >= kMaxExpansion || hi - lo >= kMaxExpansion - out.size()) {
+    diags_.error("DVL039", loc,
+                 "set would hold more than " +
+                     std::to_string(kMaxExpansion) + " values");
+    fail();
+  }
+  for (uint64_t v = lo;; ++v) {
+    out.push_back(v);
+    if (v == hi) break;
+  }
+  return true;
 }
 
 uint64_t Parser::parse_int(const char* what) {

@@ -13,6 +13,10 @@ namespace devil {
 
 class Parser {
  public:
+  /// Largest width or bit index, and most values one offset or integer set
+  /// may expand to. The corpus and its mutants stay below 1,000.
+  static constexpr uint64_t kMaxExpansion = 65536;
+
   Parser(std::vector<Token> tokens, support::DiagnosticEngine& diags)
       : toks_(std::move(tokens)), diags_(diags) {}
 
@@ -40,6 +44,14 @@ class Parser {
   TypeExpr parse_type();
   std::vector<EnumItem> parse_enum_items();
   uint64_t parse_int(const char* what);
+  /// A width or bit index: an integer no larger than kMaxExpansion (DVL039).
+  int parse_size(const char* what);
+  /// One `lo` or `lo..hi` group of an offset or integer set, appended to
+  /// `out`. Returns false for an empty range (lo > hi). A group that would
+  /// take the set past kMaxExpansion values is DVL039, reported before
+  /// anything is expanded.
+  bool parse_values(std::vector<uint64_t>& out, const char* what,
+                    const char* upper_what);
 
   std::vector<Token> toks_;
   support::DiagnosticEngine& diags_;

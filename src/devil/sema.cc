@@ -1,8 +1,11 @@
 #include "devil/sema.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <vector>
 
 namespace devil {
 
@@ -19,6 +22,42 @@ std::string fmt(const char* pre, const std::string& name, const char* post) {
 }
 
 }  // namespace
+
+/// Bits of every register that variable fragments claim, one bit per
+/// register bit packed in 64-bit words. Registers are numbered in
+/// declaration order; a name resolves to its first declaration, as in
+/// `DeviceInfo::registers`.
+class Sema::ClaimedBits {
+ public:
+  explicit ClaimedBits(const DeviceDecl& dev) {
+    first_word_.reserve(dev.registers.size() + 1);
+    size_t n = 0;
+    for (const auto& r : dev.registers) {
+      first_word_.push_back(n);
+      n += (static_cast<size_t>(std::max(r.size_bits, 0)) + 63) / 64;
+    }
+    first_word_.push_back(n);
+    words_.assign(n, 0);
+  }
+
+  [[nodiscard]] static size_t slot(const DeviceDecl& dev, const RegInfo& ri) {
+    return static_cast<size_t>(ri.decl - dev.registers.data());
+  }
+  /// False for bits past the register's declared width.
+  [[nodiscard]] bool test(size_t reg, int bit) const {
+    size_t w = first_word_[reg] + static_cast<size_t>(bit) / 64;
+    return w < first_word_[reg + 1] && ((words_[w] >> (bit % 64)) & 1);
+  }
+  void set(size_t reg, int bit) {
+    words_[first_word_[reg] + static_cast<size_t>(bit) / 64] |=
+        uint64_t{1} << (bit % 64);
+  }
+
+ private:
+  // Register i owns words [first_word_[i], first_word_[i + 1]).
+  std::vector<size_t> first_word_;
+  std::vector<uint64_t> words_;
+};
 
 int type_width_bits(const TypeExpr& ty) {
   switch (ty.kind) {
@@ -47,8 +86,9 @@ std::optional<DeviceInfo> Sema::check(const Specification& spec) {
   check_registers(spec.device, info);
   check_variables(spec.device, info);
   check_pre_actions(spec.device, info);
-  check_overlap(spec.device, info);
-  check_no_omission(spec.device, info);
+  ClaimedBits claimed(spec.device);
+  check_overlap(spec.device, info, claimed);
+  check_no_omission(spec.device, info, claimed);
   if (diags_.error_count() > before) return std::nullopt;
   return info;
 }
@@ -68,13 +108,17 @@ void Sema::check_ports(const DeviceDecl& dev, DeviceInfo& info) {
       diags_.error("DVL102", p.loc,
                    fmt("port ", p.name, " has an empty offset range"));
     }
-    std::set<uint64_t> seen_offsets;
-    for (uint64_t off : p.offsets) {
-      if (!seen_offsets.insert(off).second) {
-        std::ostringstream os;
-        os << "offset " << off << " appears twice in the range of port '"
-           << p.name << "'";
-        diags_.error("DVL103", p.loc, os.str());
+    // Offsets nearly always ascend, which rules out a repeat.
+    if (std::adjacent_find(p.offsets.begin(), p.offsets.end(),
+                           std::greater_equal<>()) != p.offsets.end()) {
+      std::set<uint64_t> seen_offsets;
+      for (uint64_t off : p.offsets) {
+        if (!seen_offsets.insert(off).second) {
+          std::ostringstream os;
+          os << "offset " << off << " appears twice in the range of port '"
+             << p.name << "'";
+          diags_.error("DVL103", p.loc, os.str());
+        }
       }
     }
     info.ports.emplace(p.name, &p);
@@ -376,24 +420,33 @@ void Sema::check_pre_actions(const DeviceDecl& dev, DeviceInfo& info) {
   }
 }
 
-void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
+void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info,
+                         ClaimedBits& claimed) {
   // "Each port must appear only once in the register definitions, except when
   //  registers are defined using disjoint pre-actions or masks. However, a
   //  single port may be used for reading by one register and writing to
   //  another."
   struct Use {
+    const std::string* port;
+    uint64_t offset;
     const RegisterDecl* reg;
     bool read;
   };
-  std::map<std::pair<std::string, uint64_t>, std::vector<Use>> uses;
+  std::vector<Use> uses;
   for (const auto& r : dev.registers) {
     for (const auto& b : r.bindings) {
       if (!info.ports.count(b.port.base)) continue;  // already diagnosed
-      auto key = std::make_pair(b.port.base, b.port.offset);
-      if (can_read(b.access)) uses[key].push_back({&r, true});
-      if (can_write(b.access)) uses[key].push_back({&r, false});
+      const std::string* port = &b.port.base;
+      if (can_read(b.access)) uses.push_back({port, b.port.offset, &r, true});
+      if (can_write(b.access)) uses.push_back({port, b.port.offset, &r, false});
     }
   }
+  // Grouped by (port, offset) in that order, declaration order within a
+  // group: the order the diagnostics below come out in.
+  std::stable_sort(uses.begin(), uses.end(), [](const Use& a, const Use& b) {
+    int c = a.port->compare(*b.port);
+    return c != 0 ? c < 0 : a.offset < b.offset;
+  });
 
   auto pre_actions_disjoint = [](const RegisterDecl& a, const RegisterDecl& b) {
     // Disjoint if they set the same selector variable to different values.
@@ -420,26 +473,39 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
     return true;
   };
 
-  for (const auto& [key, vec] : uses) {
-    for (size_t i = 0; i < vec.size(); ++i) {
-      for (size_t j = i + 1; j < vec.size(); ++j) {
-        if (vec[i].reg == vec[j].reg) continue;
-        if (vec[i].read != vec[j].read) continue;  // read vs write is fine
-        if (pre_actions_disjoint(*vec[i].reg, *vec[j].reg)) continue;
-        if (masks_disjoint(*vec[i].reg, *vec[j].reg)) continue;
+  for (size_t lo = 0, hi = 0; lo < uses.size(); lo = hi) {
+    while (hi < uses.size() && *uses[hi].port == *uses[lo].port &&
+           uses[hi].offset == uses[lo].offset) {
+      ++hi;
+    }
+    for (size_t i = lo; i < hi; ++i) {
+      for (size_t j = i + 1; j < hi; ++j) {
+        if (uses[i].reg == uses[j].reg) continue;
+        if (uses[i].read != uses[j].read) continue;  // read vs write is fine
+        if (pre_actions_disjoint(*uses[i].reg, *uses[j].reg)) continue;
+        if (masks_disjoint(*uses[i].reg, *uses[j].reg)) continue;
         std::ostringstream os;
-        os << "registers '" << vec[i].reg->name << "' and '"
-           << vec[j].reg->name << "' both use port '" << key.first << "' @ "
-           << key.second << " for " << (vec[i].read ? "reading" : "writing")
+        os << "registers '" << uses[i].reg->name << "' and '"
+           << uses[j].reg->name << "' both use port '" << *uses[lo].port
+           << "' @ " << uses[lo].offset << " for "
+           << (uses[i].read ? "reading" : "writing")
            << " without disjoint pre-actions or masks";
-        diags_.error("DVL220", vec[j].reg->loc, os.str());
+        diags_.error("DVL220", uses[j].reg->loc, os.str());
       }
     }
   }
 
   // "No bit of a single register can be used in the definition of two
-  //  different variables."
-  std::map<std::string, std::vector<std::pair<int, std::string>>> bit_owner;
+  //  different variables." Earlier claims are searched only for a bit that
+  //  is already claimed, which a consistent spec never has; they are
+  //  reported in claim order.
+  struct Claim {
+    size_t reg;
+    int lsb;
+    int msb;
+    const std::string* owner;
+  };
+  std::vector<Claim> claims;
   for (const auto& v : dev.variables) {
     for (const auto& f : v.fragments) {
       auto rit = info.registers.find(f.reg);
@@ -448,47 +514,50 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
       int msb = f.has_range ? f.msb : size - 1;
       int lsb = f.has_range ? f.lsb : 0;
       if (msb < lsb || lsb < 0 || msb >= size) continue;  // already diagnosed
+      const size_t reg = claimed.slot(dev, rit->second);
       for (int b = lsb; b <= msb; ++b) {
-        for (const auto& [ob, owner] : bit_owner[f.reg]) {
-          if (ob == b && owner != v.name) {
+        if (!claimed.test(reg, b)) {
+          claimed.set(reg, b);
+          continue;
+        }
+        for (const Claim& c : claims) {
+          if (c.reg == reg && c.lsb <= b && b <= c.msb && *c.owner != v.name) {
             std::ostringstream os;
             os << "bit " << b << " of register '" << f.reg
-               << "' is used by both '" << owner << "' and '" << v.name << "'";
+               << "' is used by both '" << *c.owner << "' and '" << v.name
+               << "'";
             diags_.error("DVL221", f.loc, os.str());
           }
         }
-        bit_owner[f.reg].emplace_back(b, v.name);
       }
+      claims.push_back({reg, lsb, msb, &v.name});
     }
   }
 }
 
-void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info) {
-  // Every register must be used by some variable.
-  std::set<std::string> used_regs;
-  std::map<std::string, std::set<int>> covered_bits;
+void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info,
+                             const ClaimedBits& claimed) {
+  // Every register must be used by some variable, and every relevant bit of
+  // it covered by one.
+  std::vector<uint8_t> used_regs(dev.registers.size(), 0);
   for (const auto& v : dev.variables) {
     for (const auto& f : v.fragments) {
-      used_regs.insert(f.reg);
       auto rit = info.registers.find(f.reg);
-      if (rit == info.registers.end()) continue;
-      int size = rit->second.decl->size_bits;
-      int msb = f.has_range ? f.msb : size - 1;
-      int lsb = f.has_range ? f.lsb : 0;
-      if (msb < lsb || lsb < 0 || msb >= size) continue;
-      for (int b = lsb; b <= msb; ++b) covered_bits[f.reg].insert(b);
+      if (rit != info.registers.end()) {
+        used_regs[claimed.slot(dev, rit->second)] = 1;
+      }
     }
   }
   for (const auto& r : dev.registers) {
-    if (!used_regs.count(r.name)) {
+    const RegInfo& ri = info.registers.at(r.name);
+    const size_t reg = claimed.slot(dev, ri);
+    if (!used_regs[reg]) {
       diags_.error("DVL230", r.loc,
                    fmt("register ", r.name, " is not used by any variable"));
       continue;
     }
-    auto rit = info.registers.find(r.name);
-    if (rit == info.registers.end()) continue;
     for (int b = 0; b < r.size_bits; ++b) {
-      if (rit->second.mask_bit(b) == '.' && !covered_bits[r.name].count(b)) {
+      if (ri.mask_bit(b) == '.' && !claimed.test(reg, b)) {
         std::ostringstream os;
         os << "relevant bit " << b << " of register '" << r.name
            << "' is not covered by any variable";
@@ -499,19 +568,25 @@ void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info) {
 
   // Every port parameter, and every offset of its declared range, must be
   // used by some register.
-  std::map<std::string, std::set<uint64_t>> used_offsets;
-  for (const auto& r : dev.registers) {
-    for (const auto& b : r.bindings) used_offsets[b.port.base].insert(b.port.offset);
-  }
+  std::vector<uint64_t> used_offsets;
   for (const auto& p : dev.params) {
-    auto it = used_offsets.find(p.name);
-    if (it == used_offsets.end()) {
+    used_offsets.clear();
+    bool used = false;
+    for (const auto& r : dev.registers) {
+      for (const auto& b : r.bindings) {
+        if (b.port.base != p.name) continue;
+        used = true;
+        used_offsets.push_back(b.port.offset);
+      }
+    }
+    if (!used) {
       diags_.error("DVL232", p.loc,
                    fmt("port parameter ", p.name, " is never used"));
       continue;
     }
+    std::sort(used_offsets.begin(), used_offsets.end());
     for (uint64_t off : p.offsets) {
-      if (!it->second.count(off)) {
+      if (!std::binary_search(used_offsets.begin(), used_offsets.end(), off)) {
         std::ostringstream os;
         os << "offset " << off << " of port '" << p.name
            << "' is declared but never used";

@@ -69,8 +69,11 @@ class Sema {
   void check_registers(const DeviceDecl& dev, DeviceInfo& info);
   void check_variables(const DeviceDecl& dev, DeviceInfo& info);
   void check_pre_actions(const DeviceDecl& dev, DeviceInfo& info);
-  void check_overlap(const DeviceDecl& dev, DeviceInfo& info);
-  void check_no_omission(const DeviceDecl& dev, DeviceInfo& info);
+  class ClaimedBits;
+  void check_overlap(const DeviceDecl& dev, DeviceInfo& info,
+                     ClaimedBits& claimed);
+  void check_no_omission(const DeviceDecl& dev, DeviceInfo& info,
+                         const ClaimedBits& claimed);
 
   support::DiagnosticEngine& diags_;
 };

@@ -16,7 +16,9 @@ constexpr const char* kFormatTag = "devil-repro-metrics";
 // Version 2: campaign rows carry patch_hits/patch_fallbacks and the timing
 // section gained the "patch" stage histogram (stage order is validated
 // strictly, so the new stage alone re-versions the format).
-constexpr int64_t kFormatVersion = 2;
+// Version 3: the timing section gained the devil_lex, devil_parse and
+// devil_sema stage histograms.
+constexpr int64_t kFormatVersion = 3;
 
 const support::JsonValue& require(const support::JsonValue& obj,
                                   const char* key, const std::string& ctx) {

@@ -1,10 +1,13 @@
 #include "eval/spec_campaign.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "devil/compiler.h"
-#include "devil/lexer.h"
 #include "mutation/devil_mutator.h"
 #include "support/parallel.h"
 #include "support/strings.h"
@@ -21,27 +24,64 @@ mutation::DevilNames names_from(const devil::DeviceInfo& info) {
   return names;
 }
 
-/// Canonical token-class key of a mutated specification: the lexed token
-/// stream (kind, line, spelling / integer value). Two mutants with equal
-/// keys are char-class-identical to the Devil front end, so `check_spec`
-/// accepts or rejects them identically. Unlexable mutants fall back to a
-/// raw-text key: only byte-identical splices dedup.
-std::string canonical_spec_key(const std::string& file,
-                               const std::string& text) {
-  support::DiagnosticEngine diags;
-  support::SourceBuffer buf(file, text);
-  devil::Lexer lexer(buf, diags);
-  std::vector<devil::Token> tokens = lexer.lex_all();
-  if (diags.has_errors()) return "!" + text;
-  std::string key;
-  key.reserve(tokens.size() * 8);
-  for (const devil::Token& t : tokens) {
+/// Whether the dedup key tells two tokens apart: kind, line, and the
+/// integer value (not its spelling) or the spelling.
+bool same_token(const devil::Token& a, const devil::Token& b) {
+  return a.kind == b.kind && a.range.begin.line == b.range.begin.line &&
+         (a.kind == devil::TokKind::kInt ? a.int_value == b.int_value
+                                         : a.text == b.text);
+}
+
+template <typename T>
+void append_raw(std::string& key, T v) {
+  key.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Minimal diff of `seq` against `base`: the length of their common prefix,
+/// and of the common suffix of what follows it. The first `known` elements
+/// are already known to be equal.
+template <typename Seq, typename Eq>
+std::pair<size_t, size_t> diff_bounds(const Seq& base, const Seq& seq, Eq eq,
+                                      size_t known = 0) {
+  const size_t n = std::min(base.size(), seq.size());
+  size_t prefix = std::min(known, n);
+  while (prefix < n && eq(base[prefix], seq[prefix])) ++prefix;
+  size_t suffix = 0;
+  while (suffix < n - prefix &&
+         eq(base[base.size() - 1 - suffix], seq[seq.size() - 1 - suffix])) {
+    ++suffix;
+  }
+  return {prefix, suffix};
+}
+
+/// Dedup key of a mutant that lexes: its token diff against the unmutated
+/// spec's tokens, with the middle tokens encoded as (kind, line, integer
+/// value or spelling). Two mutants get equal keys exactly when their whole
+/// token streams are equal under `same_token`, the classes the Devil front
+/// end cannot tell apart; the key is a few dozen bytes instead of the
+/// stream.
+std::string token_diff_key(const std::vector<devil::Token>& base,
+                           const std::vector<devil::Token>& tokens,
+                           size_t splice_offset) {
+  // Tokens that end before the splice are the unmutated spec's: each token
+  // is decided by the bytes up to and including its end offset
+  // (devil::Lexer::lex_all), and those bytes are unchanged.
+  const size_t known =
+      std::partition_point(base.begin(), base.end(),
+                           [&](const devil::Token& t) {
+                             return t.range.end.offset < splice_offset;
+                           }) -
+      base.begin();
+  auto [prefix, suffix] = diff_bounds(base, tokens, same_token, known);
+  std::string key = "t";
+  append_raw(key, static_cast<uint64_t>(prefix));
+  append_raw(key, static_cast<uint64_t>(suffix));
+  for (size_t i = prefix; i < tokens.size() - suffix; ++i) {
+    const devil::Token& t = tokens[i];
     key.push_back(static_cast<char>(t.kind));
-    uint32_t line = t.range.begin.line;
-    key.append(reinterpret_cast<const char*>(&line), sizeof(line));
+    append_raw(key, t.range.begin.line);
     if (t.kind == devil::TokKind::kInt) {
-      uint64_t v = t.int_value;
-      key.append(reinterpret_cast<const char*>(&v), sizeof(v));
+      append_raw(key, t.int_value);
     } else if (!t.text.empty()) {
       key.append(t.text);
       key.push_back('\0');
@@ -50,11 +90,27 @@ std::string canonical_spec_key(const std::string& file,
   return key;
 }
 
+/// Dedup key of a mutant that does not lex: its byte diff against the
+/// unmutated text, so only byte-identical mutants share it.
+std::string text_diff_key(std::string_view base, std::string_view text) {
+  auto [prefix, suffix] =
+      diff_bounds(base, text, [](char a, char b) { return a == b; });
+  std::string key = "!";
+  append_raw(key, static_cast<uint64_t>(prefix));
+  append_raw(key, static_cast<uint64_t>(suffix));
+  key.append(text.substr(prefix, text.size() - prefix - suffix));
+  return key;
+}
+
 }  // namespace
 
 SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
                                   const SpecCampaignConfig& config) {
-  auto baseline = devil::check_spec(spec.file, spec.text);
+  const support::SourceBuffer base_buf(spec.file, spec.text);
+  devil::CompileResult baseline;
+  const std::vector<devil::Token> base_tokens =
+      devil::lex_spec(base_buf, baseline);
+  devil::check_tokens(base_tokens, baseline);
   if (!baseline.ok()) {
     throw std::logic_error("unmutated spec '" + spec.name +
                            "' fails the Devil compiler:\n" +
@@ -71,49 +127,46 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   row.sites = sites.size();
   row.mutants = mutants.size();
 
-  // Canonical dedup, mirroring the driver campaign's: keys are computed in
-  // parallel (per-index writes only); the first-seen mapping is built
-  // sequentially afterwards, so it is deterministic at any thread count.
-  std::vector<std::string> mutated(mutants.size());
-  std::vector<size_t> dup_of(mutants.size(), static_cast<size_t>(-1));
+  // One pass: each worker splices its mutant, lexes it once, keys it on the
+  // tokens and hands the same tokens to the parser and sema. Workers write
+  // only their own index; everything order-sensitive runs after the join,
+  // so any thread count yields the identical row.
+  std::vector<std::string> keys(config.dedup ? mutants.size() : 0);
+  std::vector<uint8_t> detected(mutants.size(), 0);
   support::parallel_for(mutants.size(), config.threads, [&](size_t i) {
-    mutated[i] = mutation::apply_mutant(spec.text, sites, mutants[i]);
+    const support::SourceBuffer buf(
+        spec.file, mutation::apply_mutant(spec.text, sites, mutants[i]));
+    devil::CompileResult result;
+    std::vector<devil::Token> tokens = devil::lex_spec(buf, result);
+    if (config.dedup) {
+      keys[i] = result.diags.has_errors()
+                    ? text_diff_key(spec.text, buf.text())
+                    : token_diff_key(base_tokens, tokens,
+                                     sites[mutants[i].site].offset);
+    }
+    devil::check_tokens(std::move(tokens), result);
+    detected[i] = result.ok() ? 0 : 1;
   });
-  if (config.dedup && !mutants.empty()) {
-    std::vector<std::string> keys(mutants.size());
-    support::parallel_for(mutants.size(), config.threads, [&](size_t i) {
-      keys[i] = canonical_spec_key(spec.file, mutated[i]);
-    });
+
+  // Every mutant is checked, duplicates too: a duplicate whose verdict
+  // differs from its class representative's breaks the assumption that
+  // equal tokens get equal verdicts, and that is a front-end bug.
+  if (config.dedup) {
     std::unordered_map<std::string, size_t> first_seen;
     first_seen.reserve(mutants.size());
     for (size_t i = 0; i < mutants.size(); ++i) {
       auto [it, inserted] = first_seen.emplace(std::move(keys[i]), i);
-      if (!inserted) {
-        dup_of[i] = it->second;
-        ++row.deduped;
+      if (inserted) continue;
+      ++row.deduped;
+      if (detected[i] != detected[it->second]) {
+        throw std::logic_error(
+            "spec '" + spec.name + "': mutant " + std::to_string(i) +
+            " has the tokens of mutant " + std::to_string(it->second) +
+            " but a different verdict");
       }
     }
   }
 
-  // Parallel map over the unique mutants: one flag per mutant, written only
-  // by its own worker. The order-sensitive reduction (detected count,
-  // first-N survivors) runs after the join, so any thread count yields the
-  // identical row. Duplicates take the representative's flag — detection is
-  // site-independent, unlike the driver campaign's dead-code split.
-  std::vector<size_t> unique_ix;
-  unique_ix.reserve(mutants.size());
-  for (size_t i = 0; i < mutants.size(); ++i) {
-    if (dup_of[i] == static_cast<size_t>(-1)) unique_ix.push_back(i);
-  }
-  std::vector<uint8_t> detected(mutants.size(), 0);
-  support::parallel_for(unique_ix.size(), config.threads, [&](size_t u) {
-    size_t i = unique_ix[u];
-    auto result = devil::check_spec(spec.file, mutated[i]);
-    detected[i] = result.ok() ? 0 : 1;
-  });
-  for (size_t i = 0; i < mutants.size(); ++i) {
-    if (dup_of[i] != static_cast<size_t>(-1)) detected[i] = detected[dup_of[i]];
-  }
   for (size_t i = 0; i < mutants.size(); ++i) {
     if (detected[i]) {
       ++row.detected;

@@ -15,9 +15,10 @@ struct SpecCampaignRow {
   size_t sites = 0;          // mutation sites (col 2)
   size_t mutants = 0;        // injected mutants (col 3)
   size_t detected = 0;       // rejected by the Devil compiler
-  /// Mutants that skipped their own `check_spec` run because their mutated
-  /// spec lexes to an already-seen canonical token stream; their detection
-  /// flag comes from the representative. Tallies are unchanged (ctest).
+  /// Mutants whose token stream (kind, line, integer value or spelling)
+  /// equals an earlier mutant's, so the Devil front end cannot tell them
+  /// apart. They are still checked, and the campaign throws
+  /// std::logic_error if one's verdict differs from the earlier mutant's.
   size_t deduped = 0;
   std::vector<std::string> undetected_samples;  // a few survivors, for study
 };
@@ -28,8 +29,9 @@ struct SpecCampaignConfig {
   /// identical at any thread count (detection flags are written per-index
   /// and reduced in mutant order after the join).
   unsigned threads = 1;
-  /// Canonical token-class dedup, as in `DriverCampaignConfig::dedup`:
-  /// stream-identical mutants run the Devil compiler once.
+  /// Key every mutant on its token diff against the unmutated spec and
+  /// count and cross-check the duplicates (`SpecCampaignRow::deduped`).
+  /// Every mutant is checked either way.
   bool dedup = true;
 };
 

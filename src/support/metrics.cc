@@ -41,6 +41,9 @@ const char* stage_name(Stage stage) {
     case Stage::kBoot: return "boot";
     case Stage::kClassify: return "classify";
     case Stage::kPatch: return "patch";
+    case Stage::kDevilLex: return "devil_lex";
+    case Stage::kDevilParse: return "devil_parse";
+    case Stage::kDevilSema: return "devil_sema";
   }
   return "?";
 }

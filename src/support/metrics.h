@@ -57,7 +57,8 @@ class Histogram {
 
 /// Pipeline stages timed by `StageTimer`. Lex/parse/typecheck/lower cover
 /// the MiniC front end, splice the prefix-cache tail lowering, boot one
-/// engine run, classify the campaign verdict pass.
+/// engine run, classify the campaign verdict pass. The devil_* stages are
+/// the Devil compiler's front end (`devil::check_spec`).
 enum class Stage : uint8_t {
   kLex = 0,
   kParse,
@@ -67,8 +68,11 @@ enum class Stage : uint8_t {
   kBoot,
   kClassify,
   kPatch,  // bytecode-patch mutant boots: clone + operand rewrite
+  kDevilLex,
+  kDevilParse,
+  kDevilSema,
 };
-inline constexpr size_t kStageCount = 8;
+inline constexpr size_t kStageCount = 11;
 
 [[nodiscard]] const char* stage_name(Stage stage);
 

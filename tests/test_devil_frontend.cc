@@ -1,6 +1,9 @@
 // Unit tests for the Devil lexer and parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "devil/compiler.h"
 #include "devil/lexer.h"
 #include "devil/parser.h"
 #include "support/diagnostics.h"
@@ -68,6 +71,41 @@ TEST(DevilLexer, RejectsUnterminatedBitString) {
   support::DiagnosticEngine diags;
   lex("'101", diags);
   EXPECT_TRUE(diags.has_code("DVL011"));
+}
+
+TEST(DevilLexer, LargestLiteralsFit) {
+  auto toks =
+      lex_ok("18446744073709551615 0xffffffffffffffff 0x000000000000000001");
+  EXPECT_EQ(toks[0].int_value, UINT64_MAX);
+  EXPECT_EQ(toks[1].int_value, UINT64_MAX);
+  EXPECT_EQ(toks[2].int_value, 1u);
+}
+
+TEST(DevilLexer, RejectsDecimalLiteralPast64Bits) {
+  support::DiagnosticEngine diags;
+  auto toks = lex("99999999999999999999", diags);
+  EXPECT_TRUE(diags.has_code("DVL016")) << diags.render();
+  EXPECT_EQ(toks[0].kind, TokKind::kError);
+  EXPECT_EQ(toks[0].text, "99999999999999999999");
+}
+
+TEST(DevilLexer, RejectsHexLiteralPast64Bits) {
+  support::DiagnosticEngine diags;
+  auto toks = lex("0x1ffffffffffffffff", diags);
+  EXPECT_TRUE(diags.has_code("DVL016")) << diags.render();
+  EXPECT_EQ(toks[0].kind, TokKind::kError);
+}
+
+TEST(DevilLexer, CheckSpecRejectsOversizedLiteralInPortRange) {
+  // Untrusted text: the literal must become a diagnostic, not an exception.
+  for (const char* hi : {"99999999999999999999", "0x1ffffffffffffffff"}) {
+    auto r = devil::check_spec(
+        "test.dil", std::string("device d (p : bit[8] port @ {0..") + hi +
+                        "}) { register r = p @ 0 : bit[8]; "
+                        "variable v = r : int(8); }");
+    EXPECT_FALSE(r.ok()) << hi;
+    EXPECT_TRUE(r.diags.has_code("DVL016")) << hi << "\n" << r.diags.render();
+  }
 }
 
 TEST(DevilLexer, ArrowOperators) {
@@ -276,6 +314,82 @@ TEST(DevilParser, ReportsBadAttribute) {
       " variable v = r, bogus : int(8); }",
       diags);
   EXPECT_FALSE(spec);
+}
+
+// ---------------------------------------------------------------------------
+// Expansion bounds (DVL039): each hostile input gets a diagnostic before
+// anything is expanded.
+// ---------------------------------------------------------------------------
+
+devil::CompileResult check_device(const std::string& params,
+                                  const std::string& body) {
+  return devil::check_spec("test.dil",
+                           "device d (" + params + ") {\n" + body + "\n}");
+}
+
+TEST(DevilParser, DVL039_PortRangeToTheTopOfUint64) {
+  // Before the bound, `v <= hi` never failed and the loop did not end.
+  auto r = check_device("p : bit[8] port @ {0..0xffffffffffffffff}",
+                        "register r = p @ 0 : bit[8];"
+                        " variable v = r : int(8);");
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL039")) << r.diags.render();
+}
+
+TEST(DevilParser, DVL039_PortRangeOfABillionOffsets) {
+  auto r = check_device("p : bit[8] port @ {0..1000000000}",
+                        "register r = p @ 0 : bit[8];"
+                        " variable v = r : int(8);");
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL039")) << r.diags.render();
+}
+
+TEST(DevilParser, DVL039_IntegerSetOfABillionValues) {
+  auto r = check_device("p : bit[8] port @ {0..0}",
+                        "register r = p @ 0 : bit[8];"
+                        " variable v = r : int{0..1000000000};");
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL039")) << r.diags.render();
+}
+
+TEST(DevilParser, DVL039_RegisterTenMillionBitsWide) {
+  auto r = check_device("base : bit[8] port @ {0..0}",
+                        "register r = base @ 0 : bit[10000000];"
+                        " variable v = r : int(8);");
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL039")) << r.diags.render();
+}
+
+TEST(DevilParser, DVL039_BoundIsInclusiveAndCountsEveryGroup) {
+  support::DiagnosticEngine diags;
+  auto spec = parse(
+      "device d (p : bit[8] port @ {0..65535}) {"
+      " register r = p @ 0 : bit[65536]; variable v = r[65536..0] : int(8); }",
+      diags);
+  ASSERT_TRUE(spec) << diags.render();
+  EXPECT_EQ(spec->device.params[0].offsets.size(), 65536u);
+
+  support::DiagnosticEngine more;
+  EXPECT_FALSE(
+      parse("device d (p : bit[8] port @ {0..65535, 65536}) {}", more));
+  EXPECT_TRUE(more.has_code("DVL039"));
+  support::DiagnosticEngine over;
+  EXPECT_FALSE(parse("device d (p : bit[8] port @ {7, 0..65535}) {}", over));
+  EXPECT_TRUE(over.has_code("DVL039"));
+  support::DiagnosticEngine wide;
+  EXPECT_FALSE(parse("device d (p : bit[65537] port @ {0}) {}", wide));
+  EXPECT_TRUE(wide.has_code("DVL039"));
+}
+
+TEST(DevilParser, RangeEndingAtTheTopOfUint64Terminates) {
+  support::DiagnosticEngine diags;
+  auto spec = parse(
+      "device d (p : bit[8] port @ {0xfffffffffffffffe..0xffffffffffffffff})"
+      " { register r = p @ 0 : bit[8]; variable v = r : int(8); }",
+      diags);
+  ASSERT_TRUE(spec) << diags.render();
+  EXPECT_EQ(spec->device.params[0].offsets,
+            (std::vector<uint64_t>{UINT64_MAX - 1, UINT64_MAX}));
 }
 
 }  // namespace

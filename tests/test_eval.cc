@@ -9,6 +9,7 @@
 #include "eval/driver_campaign.h"
 #include "eval/report.h"
 #include "eval/spec_campaign.h"
+#include "support/metrics.h"
 
 namespace {
 
@@ -61,6 +62,32 @@ TEST(SpecCampaign, RejectsBrokenBaselineSpec) {
   corpus::SpecEntry bad{"broken", "broken.dil",
                         "device d (p : bit[8] port @ {0..0}) { }"};
   EXPECT_THROW(eval::run_spec_campaign(bad), std::logic_error);
+}
+
+TEST(SpecCampaign, LexesEveryMutantOnce) {
+  auto count = [](support::Stage stage) {
+    return support::Metrics::snapshot()
+        .stages[static_cast<size_t>(stage)]
+        .count();
+  };
+  support::Metrics::set_enabled(true);
+  const uint64_t lex0 = count(support::Stage::kDevilLex);
+  const uint64_t parse0 = count(support::Stage::kDevilParse);
+  const uint64_t sema0 = count(support::Stage::kDevilSema);
+  eval::SpecCampaignConfig cfg;
+  cfg.threads = 2;
+  const auto row = eval::run_spec_campaign(corpus::all_specs()[0], cfg);
+  const uint64_t lexed = count(support::Stage::kDevilLex) - lex0;
+  const uint64_t parsed = count(support::Stage::kDevilParse) - parse0;
+  const uint64_t checked = count(support::Stage::kDevilSema) - sema0;
+  support::Metrics::set_enabled(false);
+  // The unmutated spec and each mutant once, duplicates included; only the
+  // texts that lex are parsed, and only those that parse reach sema.
+  EXPECT_EQ(lexed, row.mutants + 1);
+  EXPECT_GT(row.deduped, 0u);
+  EXPECT_LE(parsed, lexed);
+  EXPECT_LE(checked, parsed);
+  EXPECT_GT(checked, row.mutants / 2);
 }
 
 TEST(SpecCampaign, DeterministicAcrossRuns) {
