@@ -498,14 +498,24 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info,
   // "No bit of a single register can be used in the definition of two
   //  different variables." Earlier claims are searched only for a bit that
   //  is already claimed, which a consistent spec never has; they are
-  //  reported in claim order.
+  //  reported in claim order. One report per bit per earlier claim would
+  //  flood on a wide register (two variables over 65,536 bits: 65k
+  //  reports), so each register reports at most kMaxOverlapReports and then
+  //  one summary of the rest. No Table 2 mutant exceeds 32 per register.
+  constexpr size_t kMaxOverlapReports = 64;
   struct Claim {
     size_t reg;
     int lsb;
     int msb;
     const std::string* owner;
   };
+  struct Reports {
+    size_t made = 0;
+    size_t dropped = 0;             // past the cap
+    support::SourceLoc dropped_at;  // where the first dropped one points
+  };
   std::vector<Claim> claims;
+  std::vector<Reports> reports(dev.registers.size());
   for (const auto& v : dev.variables) {
     for (const auto& f : v.fragments) {
       auto rit = info.registers.find(f.reg);
@@ -522,6 +532,12 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info,
         }
         for (const Claim& c : claims) {
           if (c.reg == reg && c.lsb <= b && b <= c.msb && *c.owner != v.name) {
+            Reports& r = reports[reg];
+            if (r.made == kMaxOverlapReports) {
+              if (r.dropped++ == 0) r.dropped_at = f.loc;
+              continue;
+            }
+            ++r.made;
             std::ostringstream os;
             os << "bit " << b << " of register '" << f.reg
                << "' is used by both '" << *c.owner << "' and '" << v.name
@@ -532,6 +548,14 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info,
       }
       claims.push_back({reg, lsb, msb, &v.name});
     }
+  }
+  for (size_t reg = 0; reg < reports.size(); ++reg) {
+    if (reports[reg].dropped == 0) continue;
+    std::ostringstream os;
+    os << reports[reg].dropped << " more bit claim(s) of register '"
+       << dev.registers[reg].name << "' overlap an earlier variable's ("
+       << "reports stop after " << kMaxOverlapReports << " per register)";
+    diags_.error("DVL221", reports[reg].dropped_at, os.str());
   }
 }
 

@@ -226,10 +226,15 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
   result.entry = entry;
 
   // --- fault-free baseline --------------------------------------------------------
+  // The census shim counts what every scenario's injector would count on
+  // this boot, which decides below which scenarios need a boot at all.
+  hw::AccessCensus census;
   {
     hw::IoBus bus;
     auto dev = device_pool.acquire();
-    map_bound_device(bus, base.device, dev);
+    auto shim =
+        std::make_shared<hw::AccessCensusShim>(dev, base.device.port_base);
+    map_bound_device(bus, base.device, shim);
     auto run = boot(bus, vm_engine ? &result.baseline_opcodes : nullptr);
     result.baseline_steps = run.steps_used;
     if (run.fault != minic::FaultKind::kNone) {
@@ -245,7 +250,9 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
                              dev->damage_note());
     }
     result.clean_fingerprint = run.return_value;
+    census = shim->census();
     bus = hw::IoBus();
+    shim.reset();
     device_pool.release(std::move(dev));
   }
 
@@ -267,22 +274,35 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
     sideband->canonical_hash.clear();  // scenarios are never deduped
   }
 
-  // --- per-scenario boot (parallel map) -------------------------------------------
-  // Workers write only their own records[i]; the order-sensitive tally (and
-  // the triggered count) is reduced after the join, so the result is
-  // identical at any thread count.
+  // --- census classification -----------------------------------------------------
+  // A scenario whose fault never fires leaves the boot identical to the
+  // baseline, so its record is the baseline's: clean, same steps, no detail
+  // and no trace. Only the scenarios whose fault fires are booted.
   result.records.resize(selected.size());
-  support::ProgressMeter progress(who + "booting", selected.size());
+  std::vector<size_t> to_boot;
+  for (size_t i = 0; i < selected.size(); ++i) {
+    FaultRecord& rec = result.records[i];
+    rec.scenario_index = selected[i];
+    rec.plan = matrix[selected[i]];
+    if (census.fires(rec.plan)) {
+      to_boot.push_back(i);
+    } else {
+      rec.steps = result.baseline_steps;
+    }
+  }
+  support::Metrics::add_fault_boots_skipped(selected.size() - to_boot.size());
+
+  // --- per-scenario boot (parallel map) -------------------------------------------
+  // Workers write only their own record; the order-sensitive tally (and the
+  // triggered count) is reduced after the join, so the result is identical
+  // at any thread count.
+  support::ProgressMeter progress(who + "booting", to_boot.size());
   std::vector<uint64_t> worker_shares;
   support::parallel_for(
-      selected.size(), base.threads,
-      [&](size_t i) {
-        const size_t scenario_ix = selected[i];
-        const hw::FaultPlan& plan = matrix[scenario_ix];
-
-        FaultRecord rec;
-        rec.scenario_index = scenario_ix;
-        rec.plan = plan;
+      to_boot.size(), base.threads,
+      [&](size_t k) {
+        FaultRecord& rec = result.records[to_boot[k]];
+        const hw::FaultPlan& plan = rec.plan;
 
         hw::IoBus bus;
         auto dev = device_pool.acquire();
@@ -322,11 +342,12 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
         if (recorder && rec.outcome != FaultOutcome::kCleanBoot) {
           rec.trace = recorder->render_tail();
         }
-        if (!rec.triggered && rec.outcome != FaultOutcome::kCleanBoot) {
-          // An unfired fault cannot have changed the traffic; any non-clean
-          // outcome here means the shim miscounted or the boot is flaky.
+        if (!rec.triggered) {
+          // Only scenarios the census says fire are booted; one that never
+          // fired means the census over-counted the baseline's traffic.
           throw std::logic_error(who + "scenario [" + plan.describe() +
-                                 "] never triggered yet boot was not clean (" +
+                                 "] was booted because the census said it "
+                                 "fires, yet it never triggered (" +
                                  fault_outcome_short(rec.outcome) + ")");
         }
         // Drop the bus mapping and the shims before recycling the device
@@ -335,7 +356,6 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
         recorder.reset();
         shim.reset();
         device_pool.release(std::move(dev));
-        result.records[i] = std::move(rec);
         progress.tick();
       },
       support::Metrics::enabled() ? &worker_shares : nullptr);

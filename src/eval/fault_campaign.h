@@ -72,7 +72,8 @@ struct FaultTally {
 
 /// One scenario's outcome. `scenario_index` points into the full generated
 /// matrix (fault_scenario_matrix), `triggered` says whether the fault ever
-/// fired during the boot — an untriggered scenario always boots clean.
+/// fired during the boot — an untriggered scenario always boots clean, so
+/// the campaign writes its record from the baseline without booting it.
 struct FaultRecord {
   size_t scenario_index = 0;
   hw::FaultPlan plan;
@@ -141,7 +142,9 @@ struct FaultCampaignResult {
 /// Runs the full fault campaign. Preconditions mirror run_driver_campaign
 /// (std::logic_error naming the device otherwise): populated binding, and a
 /// clean driver that compiles, boots fault-free without device damage, and
-/// returns a positive fingerprint.
+/// returns a positive fingerprint. The fault-free baseline boot takes an
+/// access census (hw::AccessCensus); only the scenarios it says fire are
+/// booted, and each of those must fire (std::logic_error otherwise).
 [[nodiscard]] FaultCampaignResult run_fault_campaign(
     const FaultCampaignConfig& config);
 

@@ -18,7 +18,8 @@ constexpr const char* kFormatTag = "devil-repro-metrics";
 // strictly, so the new stage alone re-versions the format).
 // Version 3: the timing section gained the devil_lex, devil_parse and
 // devil_sema stage histograms.
-constexpr int64_t kFormatVersion = 3;
+// Version 4: the timing section gained fault_boots_skipped.
+constexpr int64_t kFormatVersion = 4;
 
 const support::JsonValue& require(const support::JsonValue& obj,
                                   const char* key, const std::string& ctx) {
@@ -279,6 +280,7 @@ ProcessMetrics capture_process_metrics(uint64_t threads, uint64_t wall_ns) {
   pm.watchdog_trips = snap.watchdog_trips;
   pm.hang_proofs = snap.hang_proofs;
   pm.hang_steps_skipped = snap.hang_steps_skipped;
+  pm.fault_boots_skipped = snap.fault_boots_skipped;
   pm.worker_records = snap.worker_records;
   pm.service_jobs_queued = snap.service_jobs_queued;
   pm.service_jobs_dispatched = snap.service_jobs_dispatched;
@@ -305,6 +307,7 @@ support::JsonValue process_metrics_to_json(const ProcessMetrics& pm) {
   t.set("watchdog_trips", pm.watchdog_trips);
   t.set("hang_proofs", pm.hang_proofs);
   t.set("hang_steps_skipped", pm.hang_steps_skipped);
+  t.set("fault_boots_skipped", pm.fault_boots_skipped);
   t.set("worker_records", histogram_to_json(pm.worker_records));
   // The campaign-service counters ride in an optional sub-object emitted
   // only when a daemon actually recorded something: non-daemon artifacts
@@ -350,6 +353,7 @@ ProcessMetrics process_metrics_from_json(const support::JsonValue& v,
   pm.watchdog_trips = require_u64(v, "watchdog_trips", ctx);
   pm.hang_proofs = require_u64(v, "hang_proofs", ctx);
   pm.hang_steps_skipped = require_u64(v, "hang_steps_skipped", ctx);
+  pm.fault_boots_skipped = require_u64(v, "fault_boots_skipped", ctx);
   pm.worker_records = histogram_from_json(require(v, "worker_records", ctx),
                                           ctx + " worker_records");
   // Optional service section (absent in pre-service artifacts and whenever
@@ -376,6 +380,7 @@ void merge_process_metrics(ProcessMetrics& into, const ProcessMetrics& from) {
   into.watchdog_trips += from.watchdog_trips;
   into.hang_proofs += from.hang_proofs;
   into.hang_steps_skipped += from.hang_steps_skipped;
+  into.fault_boots_skipped += from.fault_boots_skipped;
   into.worker_records.merge(from.worker_records);
   into.service_jobs_queued += from.service_jobs_queued;
   into.service_jobs_dispatched += from.service_jobs_dispatched;

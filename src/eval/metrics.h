@@ -85,6 +85,8 @@ struct ProcessMetrics {
   /// record, so these are timing telemetry too.
   uint64_t hang_proofs = 0;
   uint64_t hang_steps_skipped = 0;
+  /// Fault scenarios classified from the baseline census without a boot.
+  uint64_t fault_boots_skipped = 0;
   support::Histogram worker_records;
   /// Campaign-service counters (support::MetricsSnapshot's service_* set).
   /// Serialized as an optional "service" sub-object only when any counter

@@ -190,4 +190,60 @@ void FaultInjector::raise_irq(int line, uint64_t delay_steps, bool genuine) {
   out->raise_irq(line, delay_steps, genuine);
 }
 
+uint64_t AccessCensus::trigger_count(const FaultPlan& plan) const {
+  // Mirrors the counters FaultInjector compares with plan.after.
+  auto count = [](const auto& counts, auto key) -> uint64_t {
+    auto it = counts.find(key);
+    return it == counts.end() ? 0 : it->second;
+  };
+  switch (plan.kind) {
+    case FaultKind::kDropWrite:
+      return count(writes, plan.port);
+    case FaultKind::kSpuriousIrq:
+      return irq_accesses;
+    case FaultKind::kLostIrq:
+    case FaultKind::kIrqStorm:
+    case FaultKind::kDelayIrq:
+      return count(raises, static_cast<int>(plan.port));
+    case FaultKind::kStuckZero:
+    case FaultKind::kStuckOne:
+    case FaultKind::kFlipOnce:
+    case FaultKind::kFloatingBus:
+    case FaultKind::kNeverReady:
+      break;
+  }
+  return count(reads, plan.port);
+}
+
+uint32_t AccessCensusShim::read(uint32_t offset, int width) {
+  if (irq_sink() != nullptr) ++census_.irq_accesses;
+  ++census_.reads[port_base_ + offset];
+  return inner_->read(offset, width);
+}
+
+void AccessCensusShim::write(uint32_t offset, uint32_t value, int width) {
+  if (irq_sink() != nullptr) ++census_.irq_accesses;
+  ++census_.writes[port_base_ + offset];
+  inner_->write(offset, value, width);
+}
+
+void AccessCensusShim::reset() {
+  inner_->reset();
+  census_ = AccessCensus();
+}
+
+void AccessCensusShim::attach_irq(IrqSink* sink, int line) {
+  Device::attach_irq(sink, line);
+  inner_->attach_irq(sink != nullptr ? static_cast<IrqSink*>(this) : nullptr,
+                     line);
+}
+
+void AccessCensusShim::raise_irq(int line, uint64_t delay_steps,
+                                 bool genuine) {
+  IrqSink* out = irq_sink();
+  if (out == nullptr) return;
+  if (genuine) ++census_.raises[line];
+  out->raise_irq(line, delay_steps, genuine);
+}
+
 }  // namespace hw

@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "hw/io_bus.h"
 
@@ -140,6 +142,60 @@ class FaultInjector final : public Device, public IrqSink {
   uint64_t fired_ = 0;
   uint64_t raise_seq_ = 0;   // genuine raises seen on the target line
   uint64_t access_seq_ = 0;  // device accesses seen (spurious trigger)
+};
+
+/// What the injector's trigger counters would reach over one fault-free
+/// boot. A boot is identical to the fault-free one up to the access where
+/// its fault fires, so a plan fires exactly when its trigger index is below
+/// the matching count here; a plan that does not fire leaves the boot
+/// identical to the fault-free one, step for step.
+struct AccessCensus {
+  /// Device reads / writes per absolute port (the read-fault kinds count
+  /// reads, kDropWrite counts writes).
+  std::map<uint32_t, uint64_t> reads;
+  std::map<uint32_t, uint64_t> writes;
+  /// Device accesses of either direction while an IRQ line was attached
+  /// (kSpuriousIrq counts these and fires only with a sink to raise into).
+  uint64_t irq_accesses = 0;
+  /// Genuine raises per IRQ line (kLostIrq, kIrqStorm, kDelayIrq).
+  std::map<int, uint64_t> raises;
+
+  /// How many accesses or raises `plan`'s trigger counter would see.
+  [[nodiscard]] uint64_t trigger_count(const FaultPlan& plan) const;
+  /// True when `plan` fires on this boot: its trigger index is reached.
+  [[nodiscard]] bool fires(const FaultPlan& plan) const {
+    return plan.after < trigger_count(plan);
+  }
+};
+
+/// Counting shim for the fault-free baseline boot: forwards everything to
+/// the wrapped device and tallies what a `FaultInjector` in its place would
+/// count. Mapped and wired exactly like the injector (same base, same span,
+/// spliced into the raise chain by attach_irq). It does not capture, so a
+/// hang proof can never skip traffic the census should have seen.
+class AccessCensusShim final : public Device, public IrqSink {
+ public:
+  AccessCensusShim(std::shared_ptr<Device> inner, uint32_t port_base)
+      : inner_(std::move(inner)), port_base_(port_base) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  uint32_t read(uint32_t offset, int width) override;
+  void write(uint32_t offset, uint32_t value, int width) override;
+  /// Forwards and clears the census.
+  void reset() override;
+  [[nodiscard]] bool damaged() const override { return inner_->damaged(); }
+  [[nodiscard]] std::string damage_note() const override {
+    return inner_->damage_note();
+  }
+  void attach_irq(IrqSink* sink, int line) override;
+  void raise_irq(int line, uint64_t delay_steps, bool genuine) override;
+
+  [[nodiscard]] const AccessCensus& census() const { return census_; }
+
+ private:
+  std::shared_ptr<Device> inner_;
+  uint32_t port_base_;
+  AccessCensus census_;
 };
 
 }  // namespace hw

@@ -95,6 +95,12 @@ void Metrics::add_hang_proof(uint64_t steps_skipped) {
   g_metrics.hang_steps_skipped += steps_skipped;
 }
 
+void Metrics::add_fault_boots_skipped(uint64_t n) {
+  if (!enabled() || n == 0) return;
+  std::lock_guard<std::mutex> lock(g_metrics_mu);
+  g_metrics.fault_boots_skipped += n;
+}
+
 void Metrics::add_worker_records(const std::vector<uint64_t>& shares) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(g_metrics_mu);

@@ -92,6 +92,10 @@ struct MetricsSnapshot {
   /// telemetry about how the outcome was reached, so they live here.
   uint64_t hang_proofs = 0;
   uint64_t hang_steps_skipped = 0;
+  /// Fault scenarios classified from the baseline boot's access census
+  /// without a boot of their own, because their fault never fires. Their
+  /// records equal a boot's; the count says how they were reached.
+  uint64_t fault_boots_skipped = 0;
   Histogram worker_records;  // one sample per worker per parallel phase
   /// Campaign-service counters (src/serve): jobs accepted onto the queue,
   /// jobs that actually fanned out to shard workers, jobs answered from the
@@ -120,6 +124,8 @@ class Metrics {
   static void add_watchdog_trip();
   /// One proved hang that skipped `steps_skipped` steps of budget burn.
   static void add_hang_proof(uint64_t steps_skipped);
+  /// `n` fault scenarios classified from the census instead of booted.
+  static void add_fault_boots_skipped(uint64_t n);
   /// Records how many parallel-phase indices each worker executed.
   static void add_worker_records(const std::vector<uint64_t>& shares);
   /// Campaign-service counters (see MetricsSnapshot).

@@ -185,22 +185,6 @@ TEST(BytecodePatch, CorruptTableRejectedAtSpliceTime) {
                std::runtime_error);
 }
 
-// Inverse guard, run by the `bytecode_patch_corrupt_table_guard` ctest with
-// WILL_FAIL TRUE: splicing through a corrupted table must throw (making
-// this test — and the process — fail, which the WILL_FAIL inverts into a
-// pass). If the patcher ever starts accepting the corrupt table silently,
-// this test passes, the ctest's expected failure disappears, and the suite
-// goes red.
-TEST(BytecodePatch, DISABLED_CorruptTableSplicesSilently) {
-  auto g = build_golden();
-  auto table = g.recorded.patch;
-  ASSERT_FALSE(table.points.empty());
-  const uint32_t site = table.points[0].site;
-  table.points[0].insn = 0x00ffffffu;
-  auto corrupt = make_patcher(g, std::move(table));
-  (void)try_op(corrupt, site, minic::Tok::kPipe);  // must throw
-}
-
 // ---------------------------------------------------------------------------
 // Campaign differentials: patching on/off, thread counts, pool recycling.
 // ---------------------------------------------------------------------------

@@ -381,6 +381,26 @@ TEST(DevilParser, DVL039_BoundIsInclusiveAndCountsEveryGroup) {
   EXPECT_TRUE(wide.has_code("DVL039"));
 }
 
+TEST(DevilSemaBounds, DVL221_TwoVariablesOverA65536BitRegisterStayBounded) {
+  // One DVL221 per bit per earlier claim used to mean 65,536 diagnostics
+  // here; each register now reports a bounded number plus one summary.
+  auto r = check_device("p : bit[8] port @ {0..0}",
+                        "register r = p @ 0 : bit[65536];"
+                        " variable v = r : int(8);"
+                        " variable w = r : int(8);");
+  EXPECT_FALSE(r.ok());
+  size_t overlaps = 0;
+  for (const auto& d : r.diags.all()) overlaps += d.code == "DVL221" ? 1 : 0;
+  EXPECT_GT(overlaps, 1u);
+  EXPECT_LE(overlaps, 65u);
+  EXPECT_LE(r.diags.all().size(), 100u);
+  const auto& last = r.diags.all().back();
+  EXPECT_EQ(last.code, "DVL221");
+  EXPECT_NE(last.message.find("65472 more bit claim(s) of register 'r'"),
+            std::string::npos)
+      << last.message;
+}
+
 TEST(DevilParser, RangeEndingAtTheTopOfUint64Terminates) {
   support::DiagnosticEngine diags;
   auto spec = parse(

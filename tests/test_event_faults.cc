@@ -20,6 +20,7 @@
 #include "eval/merge.h"
 #include "eval/metrics.h"
 #include "eval/shard.h"
+#include "fault_boot.h"
 #include "hw/busmouse.h"
 #include "hw/device_pool.h"
 #include "hw/fault_injection.h"
@@ -638,11 +639,17 @@ TEST(EventCampaign, ShardArtifactsRoundTripEventKinds) {
 }
 
 TEST(EventCampaign, UntriggeredEventScenariosBootClean) {
-  auto res = eval::run_fault_campaign(busmouse_irq_c_config());
-  size_t untriggered_events = 0;
+  // Untriggered event records are written from the baseline census without
+  // a boot; booting each one through a real injector must agree.
+  const eval::FaultCampaignConfig cfg = busmouse_irq_c_config();
+  auto res = eval::run_fault_campaign(cfg);
+  const size_t untriggered_events =
+      fault_boot::expect_records_reboot_identically(
+          cfg, res, [](const eval::FaultRecord& rec) {
+            return rec.plan.is_event_fault() && !rec.triggered;
+          });
   for (const auto& rec : res.records) {
     if (!rec.plan.is_event_fault() || rec.triggered) continue;
-    ++untriggered_events;
     EXPECT_EQ(rec.outcome, eval::FaultOutcome::kCleanBoot)
         << rec.plan.describe();
   }

@@ -3,6 +3,8 @@
 // thread counts, execution engines and shard/merge round trips, and the
 // paper-shape claim must hold: on every corpus device the CDevil driver
 // detects strictly more injected hardware faults than its classic-C twin.
+// Scenarios the baseline's access census says never fire are classified
+// without a boot; the census differential checks that against real boots.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,11 +15,16 @@
 #include "corpus/drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "eval/campaign_spec.h"
 #include "eval/device_bindings.h"
 #include "eval/fault_campaign.h"
 #include "eval/merge.h"
 #include "eval/report.h"
 #include "eval/shard.h"
+#include "fault_boot.h"
+#include "hw/fault_injection.h"
+#include "minic/program.h"
+#include "support/parallel.h"
 
 namespace {
 
@@ -225,19 +232,177 @@ TEST(FaultCampaign, FingerprintPinsFaultKnobs) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultCampaign, UntriggeredScenariosBootClean) {
-  auto res = eval::run_fault_campaign(busmouse_c_fault_config());
-  size_t untriggered = 0;
+  // The campaign writes untriggered records from the baseline census
+  // without booting them; booting each one through a real injector must
+  // give the same record: never fired, clean, the baseline's steps.
+  const FaultCampaignConfig cfg = busmouse_c_fault_config();
+  auto res = eval::run_fault_campaign(cfg);
+  const size_t untriggered = fault_boot::expect_records_reboot_identically(
+      cfg, res, [](const eval::FaultRecord& rec) { return !rec.triggered; });
   for (const auto& rec : res.records) {
-    if (!rec.triggered) {
-      ++untriggered;
-      EXPECT_EQ(rec.outcome, FaultOutcome::kCleanBoot)
-          << rec.plan.describe();
-    }
+    if (rec.triggered) continue;
+    EXPECT_EQ(rec.outcome, FaultOutcome::kCleanBoot) << rec.plan.describe();
+    EXPECT_EQ(rec.steps, res.baseline_steps) << rec.plan.describe();
   }
   // The busmouse boot touches only a few accesses per port, so the late
   // trigger offsets must produce genuinely untriggered scenarios.
   EXPECT_GT(untriggered, 0u);
   EXPECT_EQ(res.triggered_scenarios + untriggered, res.sampled_scenarios);
+}
+
+// ---------------------------------------------------------------------------
+// The access census. The campaign boots only the scenarios whose fault
+// fires on the baseline's traffic and writes the others' records from the
+// baseline. This differential checks the census's prediction against the
+// real injector at every trigger boundary the census saw.
+// ---------------------------------------------------------------------------
+
+struct CensusCase {
+  std::string label;
+  FaultCampaignConfig cfg;
+};
+
+/// Every corpus binding and driver on the VM, and the busmouse bindings on
+/// the walker too, as the CLI configures them.
+std::vector<CensusCase> census_cases() {
+  std::vector<CensusCase> cases;
+  for (minic::ExecEngine engine :
+       {minic::ExecEngine::kBytecodeVm, minic::ExecEngine::kTreeWalker}) {
+    eval::CampaignSpec spec;
+    spec.kind = eval::CampaignKind::kFault;
+    spec.engine = engine;
+    spec.threads = 0;
+    for (const auto& drivers : eval::campaign_spec_corpus(spec)) {
+      const std::string device = drivers.device;
+      if (engine == minic::ExecEngine::kTreeWalker &&
+          device.rfind("busmouse", 0) != 0) {
+        continue;
+      }
+      const std::string at =
+          device + " on " + minic::exec_engine_name(engine) + " ";
+      eval::DeviceFaultConfigs cfgs = eval::fault_configs_for(spec, drivers);
+      cases.push_back({at + "C", std::move(cfgs.c)});
+      cases.push_back({at + "CDevil", std::move(cfgs.cdevil)});
+    }
+  }
+  return cases;
+}
+
+struct BoundaryPlan {
+  hw::FaultPlan plan;
+  bool fires = false;
+};
+
+/// For every port of the binding's window, every fault kind and the
+/// binding's IRQ line: a plan at `after = count` (must not fire) and, when
+/// the census counted any, one at `after = count - 1` (must fire). Plus the
+/// same on a port past the window and on a line that never raised, which
+/// the census never saw.
+std::vector<BoundaryPlan> boundary_plans(const hw::AccessCensus& census,
+                                         const eval::DeviceBinding& binding) {
+  std::vector<BoundaryPlan> out;
+  auto straddle = [&](uint32_t port, hw::FaultKind kind, uint32_t mask,
+                      uint32_t value) {
+    hw::FaultPlan plan;
+    plan.port = port;
+    plan.kind = kind;
+    plan.mask = mask;
+    plan.value = value;
+    const uint64_t count = census.trigger_count(plan);
+    for (uint64_t after = count == 0 ? 0 : count - 1; after <= count;
+         ++after) {
+      plan.after = static_cast<uint32_t>(after);
+      out.push_back({plan, after < count});
+    }
+  };
+  for (uint32_t port = binding.port_base;
+       port <= binding.port_base + binding.port_span; ++port) {
+    straddle(port, hw::FaultKind::kStuckZero, 0x01, 0);
+    straddle(port, hw::FaultKind::kStuckOne, 0x80, 0);
+    straddle(port, hw::FaultKind::kFlipOnce, 0x01, 0);
+    straddle(port, hw::FaultKind::kDropWrite, 0, 0);
+    straddle(port, hw::FaultKind::kFloatingBus, 0, 0);
+    straddle(port, hw::FaultKind::kNeverReady, 0, 0);
+  }
+  int unseen_line = 0;
+  while (census.raises.count(unseen_line) != 0) ++unseen_line;
+  for (int line : {binding.irq_line, unseen_line}) {
+    if (line < 0) continue;
+    const auto l = static_cast<uint32_t>(line);
+    straddle(l, hw::FaultKind::kLostIrq, 0, 0);
+    straddle(l, hw::FaultKind::kSpuriousIrq, 0, 0);
+    straddle(l, hw::FaultKind::kIrqStorm, 0, 8);
+    straddle(l, hw::FaultKind::kDelayIrq, 0, 1000);
+  }
+  return out;
+}
+
+TEST(FaultCensus, PredictionMatchesTheInjectorAtEveryTriggerBoundary) {
+  struct Boot {
+    size_t case_ix;
+    BoundaryPlan boundary;
+    eval::FaultRecord booted;
+  };
+  const std::vector<CensusCase> cases = census_cases();
+  ASSERT_EQ(cases.size(), 12u);  // 4 bindings x 2 drivers VM, 2 x 2 walker
+  std::vector<fault_boot::CleanDriver> drivers;
+  std::vector<eval::FaultRecord> census_records;
+  std::vector<int64_t> fingerprints;
+  std::vector<Boot> boots;
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(cases[c].label);
+    const FaultCampaignConfig& cfg = cases[c].cfg;
+    const FaultCampaignResult res = eval::run_fault_campaign(cfg);
+    drivers.emplace_back(cfg.base);
+    ASSERT_TRUE(drivers.back().ok());
+    const auto census = drivers.back().census();
+    ASSERT_EQ(census.run.fault, minic::FaultKind::kNone);
+    ASSERT_FALSE(census.damaged);
+    EXPECT_EQ(census.run.steps_used, res.baseline_steps);
+    EXPECT_EQ(census.run.return_value, res.clean_fingerprint);
+    fingerprints.push_back(res.clean_fingerprint);
+
+    // The campaign's own split agrees with the census, and its
+    // census-written records are the baseline's.
+    const eval::FaultRecord* written = nullptr;
+    for (const auto& rec : res.records) {
+      EXPECT_EQ(rec.triggered, census.census.fires(rec.plan))
+          << rec.plan.describe();
+      if (!rec.triggered && written == nullptr) written = &rec;
+    }
+    ASSERT_NE(written, nullptr);
+    EXPECT_EQ(written->outcome, FaultOutcome::kCleanBoot);
+    EXPECT_EQ(written->steps, res.baseline_steps);
+    EXPECT_TRUE(written->detail.empty());
+    EXPECT_TRUE(written->trace.empty());
+    census_records.push_back(*written);
+
+    size_t firing = 0;
+    size_t firing_events = 0;
+    for (const BoundaryPlan& b :
+         boundary_plans(census.census, cfg.base.device)) {
+      firing += b.fires ? 1 : 0;
+      firing_events += b.fires && b.plan.is_event_fault() ? 1 : 0;
+      boots.push_back({c, b, {}});
+    }
+    EXPECT_GT(firing, 0u);
+    EXPECT_EQ(firing_events > 0, cfg.base.device.irq_line >= 0);
+  }
+
+  support::parallel_for(boots.size(), 0, [&](size_t i) {
+    Boot& b = boots[i];
+    b.booted = drivers[b.case_ix].boot_plan(b.boundary.plan,
+                                            fingerprints[b.case_ix]);
+  });
+
+  for (const Boot& b : boots) {
+    SCOPED_TRACE(cases[b.case_ix].label);
+    EXPECT_EQ(b.booted.triggered, b.boundary.fires)
+        << b.boundary.plan.describe();
+    if (!b.boundary.fires) {
+      fault_boot::expect_same_record(census_records[b.case_ix], b.booted);
+    }
+  }
 }
 
 TEST(FaultCampaign, CDevilDetectsStrictlyMoreFaultsThanC) {
