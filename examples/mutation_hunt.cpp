@@ -11,9 +11,8 @@
 // {ide,busmouse,all}` picks the device under test (default: all).
 //
 // Every campaign entry point consumes one eval::CampaignSpec: the flag
-// parser below fills the spec through the shared flag table
-// (eval/campaign_spec.h), the same table the campaign service uses to
-// rebuild worker argv — so flag -> spec field lives in exactly one place.
+// parser below fills the spec through the flag table in
+// eval/campaign_spec.h, so flag -> spec field lives in exactly one place.
 //
 // Campaigns also shard across processes: `--shard i/N --out FILE` runs the
 // i-th of N slices of every selected campaign and writes a mergeable JSON
@@ -34,21 +33,7 @@
 //
 // `--spec-campaign` runs the Table 2 experiment instead: mutate the Devil
 // specifications themselves and count what the Devil compiler rejects.
-//
-// `--serve ENDPOINT` turns the binary into a long-running campaign daemon
-// (src/serve): clients submit campaign requests over a socket, each job
-// fans out to `--shard` worker subprocesses of this same binary, and the
-// merged report streams back byte-identical to the single-process run.
-// `--dispatch ENDPOINT` is the matching client: the campaign flags build
-// the request spec, the served report prints on stdout and a one-line
-// cache/fan-out telemetry summary prints on stderr.
-#include <signal.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <string>
@@ -69,11 +54,7 @@
 #include "hw/ide_disk.h"
 #include "hw/io_bus.h"
 #include "minic/program.h"
-#include "serve/campaign_service.h"
-#include "serve/dispatcher.h"
-#include "serve/wire.h"
 #include "support/metrics.h"
-#include "support/subprocess.h"
 
 namespace {
 
@@ -91,7 +72,8 @@ void report(const char* label, const std::string& name,
   hw::IoBus bus;
   auto disk = std::make_shared<hw::IdeDisk>();
   bus.map(0x1f0, 8, disk);
-  auto out = minic::run_unit(*prog.unit, bus, "ide_boot", 3'000'000, engine);
+  auto out = minic::run_unit(*prog.unit, bus, "ide_boot",
+                             eval::kDefaultStepBudget, engine);
   switch (out.fault) {
     case minic::FaultKind::kNone:
       std::printf("  -> NOT DETECTED: kernel boots (fingerprint %lld%s)\n\n",
@@ -456,101 +438,6 @@ int run_merge(const std::vector<std::string>& paths,
   return 0;
 }
 
-/// `--serve ENDPOINT`: runs the campaign daemon until SIGINT/SIGTERM. The
-/// signals are blocked before the service threads start (they inherit the
-/// mask), so shutdown is always the orderly sigwait -> stop() path.
-int run_serve(const std::string& target, const char* argv0, unsigned workers,
-              std::string scratch_dir, const std::string& metrics_path) {
-  serve::ServiceConfig config;
-  config.listen_target = target;
-  config.dispatch.worker_binary = support::self_executable_path();
-  if (config.dispatch.worker_binary.empty()) {
-    config.dispatch.worker_binary = argv0;
-  }
-  if (workers != 0) config.dispatch.workers = workers;
-  if (scratch_dir.empty()) {
-    char tmpl[] = "/tmp/devil-serve-XXXXXX";
-    if (!mkdtemp(tmpl)) {
-      std::fprintf(stderr, "mutation_hunt: cannot create scratch directory "
-                   "under /tmp: %s\n", std::strerror(errno));
-      return 1;
-    }
-    scratch_dir = tmpl;
-  }
-  config.dispatch.scratch_dir = scratch_dir;
-
-  sigset_t signals;
-  sigemptyset(&signals);
-  sigaddset(&signals, SIGINT);
-  sigaddset(&signals, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
-
-  serve::CampaignService service(config);
-  try {
-    service.start();
-  } catch (const serve::WireError& e) {
-    std::fprintf(stderr, "mutation_hunt: %s\n", e.what());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "serving campaigns on %s (%u worker(s), scratch %s)\n",
-               service.endpoint().c_str(), config.dispatch.workers,
-               scratch_dir.c_str());
-  int sig = 0;
-  sigwait(&signals, &sig);
-  std::fprintf(stderr, "caught signal %d, shutting down\n", sig);
-  service.stop();
-  if (!metrics_path.empty()) {
-    // The daemon's own telemetry: the service counters (jobs, cache hits,
-    // worker fan-out) ride the standard process-metrics artifact.
-    return write_metrics_artifact(metrics_path, eval::MetricsArtifact{},
-                                  config.dispatch.workers);
-  }
-  return 0;
-}
-
-/// `--dispatch ENDPOINT`: submits the spec to a `--serve` daemon, prints
-/// the served report on stdout and one telemetry line on stderr.
-int run_dispatch(const std::string& target, const eval::CampaignSpec& spec,
-                 unsigned workers, bool use_cache, unsigned kill_shard) {
-  serve::CampaignRequest request;
-  request.spec = spec;
-  request.workers = workers;
-  request.use_cache = use_cache;
-  request.kill_shard = kill_shard;
-
-  serve::CampaignResponse response;
-  try {
-    int fd = serve::connect_endpoint(target);
-    serve::write_frame(fd, serve::serialize_campaign_request(request));
-    std::string payload;
-    bool got = serve::read_frame(fd, 256u << 20, &payload);
-    ::close(fd);
-    if (!got) {
-      std::fprintf(stderr, "mutation_hunt: %s closed the connection without "
-                   "a response\n", target.c_str());
-      return 1;
-    }
-    response = serve::parse_campaign_response(payload);
-  } catch (const serve::WireError& e) {
-    std::fprintf(stderr, "mutation_hunt: %s\n", e.what());
-    return 1;
-  }
-  if (!response.ok) {
-    std::fprintf(stderr, "mutation_hunt: dispatch failed: %s\n",
-                 response.error.c_str());
-    return 1;
-  }
-  std::fputs(response.report.c_str(), stdout);
-  std::fprintf(stderr,
-               "dispatch: fingerprint=%s cache_hit=%d workers_spawned=%llu "
-               "worker_retries=%llu\n",
-               response.fingerprint.c_str(), response.cache_hit ? 1 : 0,
-               static_cast<unsigned long long>(response.workers_spawned),
-               static_cast<unsigned long long>(response.worker_retries));
-  return 0;
-}
-
 int usage(std::FILE* to) {
   std::fprintf(
       to,
@@ -570,17 +457,8 @@ int usage(std::FILE* to) {
       "                       (fault campaigns when --faults is given)\n"
       "  --merge FILE...      merge one artifact per shard and print the\n"
       "                       single-process campaign report\n"
-      "  --serve ENDPOINT     run the campaign daemon: accept campaign\n"
-      "                       requests on ENDPOINT (a port binds\n"
-      "                       127.0.0.1, \"0\" picks an ephemeral port;\n"
-      "                       anything else is a unix socket path), fan\n"
-      "                       each job out to shard workers, cache results\n"
-      "                       by config fingerprint\n"
-      "  --dispatch ENDPOINT  submit the campaign described by the flags\n"
-      "                       to a --serve daemon and print the served\n"
-      "                       report (byte-identical to the local run)\n"
       "\n"
-      "Campaign flags (shared by local runs, shards and --dispatch):\n");
+      "Campaign flags (shared by local runs and shards):\n");
   for (const eval::CampaignFlag& flag : eval::campaign_spec_flags()) {
     std::string head = flag.flag;
     if (flag.value_name) head += std::string(" ") + flag.value_name;
@@ -598,26 +476,14 @@ int usage(std::FILE* to) {
       "                       profiles, tallies — byte-identical at any\n"
       "                       thread count and across shard merges) plus\n"
       "                       process timings; composes with --faults,\n"
-      "                       --shard (also embeds timings in the bundle),\n"
-      "                       --merge (aggregates embedded timings) and\n"
-      "                       --serve (service counters on shutdown)\n"
+      "                       --shard (also embeds timings in the bundle)\n"
+      "                       and --merge (aggregates embedded timings)\n"
       "  --progress           throttled records/s + ETA heartbeat on stderr\n"
-      "                       (per-job heartbeats under --serve)\n"
       "  --assert-counters    fail unless dedup + prefix cache engaged\n"
       "                       (and, unless --no-bytecode-patch/--walker,\n"
       "                       bytecode patching both hit and fell back)\n"
       "                       (with --faults: fail unless faults fired and\n"
       "                       CDevil detected strictly more than C)\n"
-      "  --workers N          --serve/--dispatch: shard workers per job\n"
-      "                       (daemon default 3; 0 = daemon default)\n"
-      "  --scratch DIR        --serve: artifact/log directory (default: a\n"
-      "                       fresh directory under /tmp)\n"
-      "  --no-cache           --dispatch: bypass the daemon's result cache\n"
-      "                       for this request (the fresh result still\n"
-      "                       populates it)\n"
-      "  --kill-shard K       --dispatch: kill shard K's first worker\n"
-      "                       attempt to exercise the retry path (the\n"
-      "                       report must come back byte-identical)\n"
       "  --help               this message\n");
   return to == stdout ? 0 : 2;
 }
@@ -639,20 +505,11 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::vector<std::string> merge_paths;
   bool merge_given = false;
-  std::string serve_target;
-  std::string dispatch_target;
-  unsigned workers = 0;
-  bool workers_given = false;
-  std::string scratch_dir;
-  bool no_cache = false;
-  unsigned kill_shard = 0;
-  bool kill_shard_given = false;
 
   // Strict flag parsing: an unrecognised flag is a hard error with a usage
   // message, never silently ignored — a typoed `--theads 8` must not
   // quietly run the default scenario and exit 0. Campaign flags resolve
-  // through the shared table (eval/campaign_spec.h), so the CLI and the
-  // service workers parse identically by construction.
+  // through the shared table (eval/campaign_spec.h).
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> const char* {
@@ -701,49 +558,6 @@ int main(int argc, char** argv) {
         }
         merge_paths.push_back(path);
       }
-    } else if (arg == "--serve") {
-      const char* v = value("--serve");
-      if (!v) return flag_error("--serve needs an endpoint (a port or a "
-                                "unix socket path)");
-      serve_target = v;
-    } else if (arg == "--dispatch") {
-      const char* v = value("--dispatch");
-      if (!v) return flag_error("--dispatch needs an endpoint (a port, "
-                                "host:port or a unix socket path)");
-      dispatch_target = v;
-    } else if (arg == "--workers") {
-      const char* v = value("--workers");
-      if (!v) return flag_error("--workers needs a value");
-      const std::string text = v;
-      const bool digits =
-          !text.empty() && text.size() <= 3 &&
-          text.find_first_not_of("0123456789") == std::string::npos;
-      if (!digits) {
-        return flag_error("--workers: '" + text +
-                          "' is not a worker count (0-999; 0 = daemon "
-                          "default)");
-      }
-      workers = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      workers_given = true;
-    } else if (arg == "--scratch") {
-      const char* v = value("--scratch");
-      if (!v) return flag_error("--scratch needs a directory path");
-      scratch_dir = v;
-    } else if (arg == "--no-cache") {
-      no_cache = true;
-    } else if (arg == "--kill-shard") {
-      const char* v = value("--kill-shard");
-      if (!v) return flag_error("--kill-shard needs a 1-based shard index");
-      const std::string text = v;
-      const bool digits =
-          !text.empty() && text.size() <= 3 &&
-          text.find_first_not_of("0123456789") == std::string::npos;
-      if (!digits || text == "0") {
-        return flag_error("--kill-shard: '" + text +
-                          "' is not a 1-based shard index (1-999)");
-      }
-      kill_shard = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      kill_shard_given = true;
     } else if (arg == "--list-devices") {
       // One name per line, so CI scripts can iterate the corpus registry
       // instead of hardcoding the device list. Mode-aware: after --faults
@@ -769,7 +583,6 @@ int main(int argc, char** argv) {
   if (merge_given) {
     if (campaign_flag_given || assert_counters ||
         !shard_spec_text.empty() || !out_path.empty() ||
-        !serve_target.empty() || !dispatch_target.empty() ||
         spec.engine != minic::ExecEngine::kBytecodeVm) {
       return flag_error("--merge takes only artifact files and --metrics "
                         "(the merged report is determined by the artifacts "
@@ -784,60 +597,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "mutation_hunt: %s\n", e.what());
       return 1;
     }
-  }
-
-  if ((no_cache || kill_shard_given) && dispatch_target.empty()) {
-    return flag_error(std::string(no_cache ? "--no-cache" : "--kill-shard") +
-                      " only makes sense with --dispatch (it is a request "
-                      "knob for the campaign daemon)");
-  }
-  if (workers_given && serve_target.empty() && dispatch_target.empty()) {
-    return flag_error("--workers only makes sense with --serve or "
-                      "--dispatch (local campaigns take --threads)");
-  }
-  if (!scratch_dir.empty() && serve_target.empty()) {
-    return flag_error("--scratch only makes sense with --serve");
-  }
-
-  if (!serve_target.empty()) {
-    if (!dispatch_target.empty()) {
-      return flag_error("--serve and --dispatch are different roles; pick "
-                        "one");
-    }
-    if (campaign_flag_given || assert_counters ||
-        !shard_spec_text.empty() || !out_path.empty() ||
-        spec != eval::CampaignSpec{}) {
-      return flag_error("--serve runs a daemon: campaign flags belong on "
-                        "the --dispatch requests, not on the server");
-    }
-    return run_serve(serve_target, argv[0], workers, scratch_dir,
-                     metrics_path);
-  }
-
-  if (!dispatch_target.empty()) {
-    if (!shard_spec_text.empty() || !out_path.empty()) {
-      return flag_error("--dispatch sends a whole campaign to the daemon; "
-                        "sharding is the daemon's job (--shard/--out do "
-                        "not compose)");
-    }
-    if (assert_counters) {
-      return flag_error("--assert-counters applies to local campaign runs "
-                        "(the daemon's report carries no counter verdict)");
-    }
-    if (!metrics_path.empty()) {
-      return flag_error("--metrics does not compose with --dispatch (the "
-                        "daemon runs the campaign; point --metrics at a "
-                        "local run or the daemon itself)");
-    }
-    std::vector<std::string> diags = eval::validate_campaign_spec(spec);
-    if (!diags.empty()) {
-      for (const std::string& d : diags) {
-        std::fprintf(stderr, "mutation_hunt: %s\n", d.c_str());
-      }
-      return 2;
-    }
-    return run_dispatch(dispatch_target, spec, workers, !no_cache,
-                        kill_shard);
   }
 
   if (!out_path.empty() && shard_spec_text.empty()) {
@@ -869,8 +628,7 @@ int main(int argc, char** argv) {
                         "artifacts instead)");
     }
     if (spec.kind == eval::CampaignKind::kSpec) {
-      return flag_error("--spec-campaign has no shard slices; run it whole "
-                        "or --dispatch it");
+      return flag_error("--spec-campaign has no shard slices; run it whole");
     }
     eval::ShardSpec shard;
     try {

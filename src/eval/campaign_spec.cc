@@ -1,13 +1,9 @@
 #include "eval/campaign_spec.h"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "corpus/specs.h"
 #include "devil/compiler.h"
 #include "eval/device_bindings.h"
-#include "eval/shard.h"
-#include "support/strings.h"
 
 namespace eval {
 
@@ -38,26 +34,6 @@ bool parse_trigger_list(const std::string& text, std::vector<uint32_t>* out) {
     if (comma == text.size()) break;
   }
   return !out->empty();
-}
-
-minic::ExecEngine engine_from_name(const std::string& name,
-                                   const std::string& ctx) {
-  if (name == minic::exec_engine_name(minic::ExecEngine::kBytecodeVm)) {
-    return minic::ExecEngine::kBytecodeVm;
-  }
-  if (name == minic::exec_engine_name(minic::ExecEngine::kTreeWalker)) {
-    return minic::ExecEngine::kTreeWalker;
-  }
-  throw std::runtime_error(ctx + ": unknown engine '" + name +
-                           "' (known: bytecode-vm, tree-walker)");
-}
-
-CampaignKind kind_from_name(const std::string& name, const std::string& ctx) {
-  if (name == "driver") return CampaignKind::kDriver;
-  if (name == "fault") return CampaignKind::kFault;
-  if (name == "spec") return CampaignKind::kSpec;
-  throw std::runtime_error(ctx + ": unknown campaign kind '" + name +
-                           "' (known: driver, fault, spec)");
 }
 
 /// Fills the fields DriverCampaignConfig shares across the C and CDevil
@@ -141,114 +117,6 @@ std::vector<std::string> validate_campaign_spec(const CampaignSpec& spec) {
   return diags;
 }
 
-support::JsonValue campaign_spec_to_json(const CampaignSpec& spec) {
-  support::JsonValue v = support::JsonValue::object();
-  v.set("format", "devil-repro-campaign-spec");
-  v.set("version", 1);
-  v.set("kind", campaign_kind_name(spec.kind));
-  v.set("device", spec.device);
-  v.set("engine", minic::exec_engine_name(spec.engine));
-  v.set("seed", spec.seed);
-  v.set("sample_percent", static_cast<uint64_t>(spec.sample_percent));
-  v.set("step_budget", spec.step_budget);
-  v.set("dedup", spec.dedup);
-  v.set("prefix_cache", spec.prefix_cache);
-  v.set("bytecode_patch", spec.bytecode_patch);
-  v.set("flight_recorder", spec.flight_recorder);
-  v.set("watchdog_ms", spec.watchdog_ms);
-  v.set("threads", static_cast<uint64_t>(spec.threads));
-  support::JsonValue triggers = support::JsonValue::array();
-  for (uint32_t t : spec.fault_triggers) {
-    triggers.push_back(static_cast<uint64_t>(t));
-  }
-  v.set("fault_triggers", std::move(triggers));
-  v.set("fault_sample_percent",
-        static_cast<uint64_t>(spec.fault_sample_percent));
-  v.set("survivor_samples", static_cast<uint64_t>(spec.survivor_samples));
-  return v;
-}
-
-CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
-                                     const std::string& ctx) {
-  if (v.kind() != support::JsonValue::Kind::kObject) {
-    throw std::runtime_error(ctx + ": campaign spec must be an object, got " +
-                             support::json_kind_name(v.kind()));
-  }
-  auto require = [&](const char* key) -> const support::JsonValue& {
-    const support::JsonValue* f = v.find(key);
-    if (!f) {
-      throw std::runtime_error(ctx + ": missing field '" + key + "'");
-    }
-    return *f;
-  };
-  auto require_u64 = [&](const char* key, uint64_t max) {
-    int64_t raw = require(key).as_int();
-    if (raw < 0 || static_cast<uint64_t>(raw) > max) {
-      throw std::runtime_error(ctx + ": field '" + key +
-                               "' out of range (0-" + std::to_string(max) +
-                               "), got " + std::to_string(raw));
-    }
-    return static_cast<uint64_t>(raw);
-  };
-
-  if (require("format").as_string() != "devil-repro-campaign-spec") {
-    throw std::runtime_error(ctx + ": not a campaign spec (format tag '" +
-                             require("format").as_string() + "')");
-  }
-  if (require("version").as_int() != 1) {
-    throw std::runtime_error(ctx + ": unsupported campaign-spec version " +
-                             std::to_string(require("version").as_int()));
-  }
-
-  static const char* const kKnown[] = {
-      "format", "version", "kind", "device", "engine", "seed",
-      "sample_percent", "step_budget", "dedup", "prefix_cache",
-      "bytecode_patch", "flight_recorder", "watchdog_ms", "threads",
-      "fault_triggers", "fault_sample_percent", "survivor_samples"};
-  for (const auto& [key, value] : v.members()) {
-    (void)value;
-    bool known = false;
-    for (const char* k : kKnown) known |= key == k;
-    if (!known) {
-      throw std::runtime_error(ctx + ": unknown field '" + key + "'");
-    }
-  }
-
-  CampaignSpec spec;
-  spec.kind = kind_from_name(require("kind").as_string(), ctx);
-  spec.device = require("device").as_string();
-  spec.engine = engine_from_name(require("engine").as_string(), ctx);
-  spec.seed = require_u64("seed", UINT64_MAX / 2);
-  spec.sample_percent = static_cast<unsigned>(require_u64("sample_percent",
-                                                          100));
-  spec.step_budget = require_u64("step_budget", UINT64_MAX / 2);
-  spec.dedup = require("dedup").as_bool();
-  spec.prefix_cache = require("prefix_cache").as_bool();
-  spec.bytecode_patch = require("bytecode_patch").as_bool();
-  spec.flight_recorder = require("flight_recorder").as_bool();
-  spec.watchdog_ms = require_u64("watchdog_ms", 99'999'999);
-  spec.threads = static_cast<unsigned>(require_u64("threads", 9999));
-  spec.fault_triggers.clear();
-  for (const support::JsonValue& t : require("fault_triggers").items()) {
-    int64_t raw = t.as_int();
-    if (raw < 0 || raw > 999'999) {
-      throw std::runtime_error(ctx + ": fault_triggers entry out of range "
-                               "(0-999999), got " + std::to_string(raw));
-    }
-    spec.fault_triggers.push_back(static_cast<uint32_t>(raw));
-  }
-  spec.fault_sample_percent =
-      static_cast<unsigned>(require_u64("fault_sample_percent", 100));
-  spec.survivor_samples =
-      static_cast<unsigned>(require_u64("survivor_samples", 9999));
-
-  std::vector<std::string> diags = validate_campaign_spec(spec);
-  if (!diags.empty()) {
-    throw std::runtime_error(ctx + ": " + diags.front());
-  }
-  return spec;
-}
-
 DeviceCampaignConfigs driver_configs_for(
     const CampaignSpec& spec, const corpus::CampaignDrivers& drivers) {
   DeviceCampaignConfigs out;
@@ -290,40 +158,6 @@ SpecCampaignConfig spec_campaign_config_for(const CampaignSpec& spec) {
   cfg.threads = spec.threads;
   cfg.dedup = spec.dedup;
   return cfg;
-}
-
-std::string campaign_spec_fingerprint(const CampaignSpec& spec) {
-  support::Fnv128 h;
-  h.update_field("devil-repro-campaign-spec-v1");
-  h.update_field(campaign_kind_name(spec.kind));
-  switch (spec.kind) {
-    case CampaignKind::kDriver:
-      for (const auto& drivers : campaign_spec_corpus(spec)) {
-        DeviceCampaignConfigs cfgs = driver_configs_for(spec, drivers);
-        h.update_field(campaign_fingerprint(cfgs.c));
-        h.update_field(campaign_fingerprint(cfgs.cdevil));
-      }
-      break;
-    case CampaignKind::kFault:
-      for (const auto& drivers : campaign_spec_corpus(spec)) {
-        DeviceFaultConfigs cfgs = fault_configs_for(spec, drivers);
-        h.update_field(fault_campaign_fingerprint(cfgs.c));
-        h.update_field(fault_campaign_fingerprint(cfgs.cdevil));
-      }
-      break;
-    case CampaignKind::kSpec:
-      // Table 2 has no per-device config; the digest pins the corpus text
-      // and the two knobs that move rows (dedup cannot change tallies but
-      // does change the deduped column).
-      h.update_u64(spec.dedup ? 1 : 0);
-      h.update_u64(spec.survivor_samples);
-      for (const auto& entry : corpus::all_specs()) {
-        h.update_field(entry.name);
-        h.update_field(entry.text);
-      }
-      break;
-  }
-  return h.hex();
 }
 
 const std::vector<CampaignFlag>& campaign_spec_flags() {
@@ -469,41 +303,6 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     return "";
   }
   return "unhandled campaign flag '" + name + "'";
-}
-
-std::vector<std::string> campaign_spec_to_args(const CampaignSpec& spec) {
-  std::vector<std::string> args;
-  switch (spec.kind) {
-    case CampaignKind::kDriver: break;
-    case CampaignKind::kFault: args.push_back("--faults"); break;
-    case CampaignKind::kSpec: args.push_back("--spec-campaign"); break;
-  }
-  args.insert(args.end(), {"--device", spec.device});
-  if (spec.engine == minic::ExecEngine::kTreeWalker) {
-    args.push_back("--walker");
-  }
-  args.insert(args.end(), {"--threads", std::to_string(spec.threads)});
-  args.insert(args.end(), {"--seed", std::to_string(spec.seed)});
-  args.insert(args.end(),
-              {"--sample-percent", std::to_string(spec.sample_percent)});
-  args.insert(args.end(), {"--step-budget",
-                           std::to_string(spec.step_budget)});
-  if (!spec.dedup) args.push_back("--no-dedup");
-  if (!spec.prefix_cache) args.push_back("--no-prefix-cache");
-  if (!spec.bytecode_patch) args.push_back("--no-bytecode-patch");
-  if (spec.flight_recorder) args.push_back("--flight-recorder");
-  args.insert(args.end(), {"--watchdog-ms",
-                           std::to_string(spec.watchdog_ms)});
-  std::string triggers;
-  for (uint32_t t : spec.fault_triggers) {
-    triggers += (triggers.empty() ? "" : ",") + std::to_string(t);
-  }
-  args.insert(args.end(), {"--fault-triggers", triggers});
-  args.insert(args.end(), {"--fault-sample-percent",
-                           std::to_string(spec.fault_sample_percent)});
-  args.insert(args.end(), {"--survivor-samples",
-                           std::to_string(spec.survivor_samples)});
-  return args;
 }
 
 }  // namespace eval

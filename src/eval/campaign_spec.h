@@ -1,27 +1,19 @@
-// The unified campaign request: one serializable value type covering the
+// The unified campaign request: one value type covering the
 // driver-mutation (Tables 3/4), fault-injection and spec-mutation (Table 2)
-// campaigns. The CLI flag parser, the campaign service wire format and the
-// library entry points all build on this one struct, so a campaign
-// configuration has exactly one source of truth:
+// campaigns. The CLI flag parser and the library entry points both build on
+// this one struct, so a campaign configuration has exactly one source of
+// truth:
 //
 //  - `validate_campaign_spec` turns a bad spec into actionable diagnostics
 //    before anything boots;
-//  - `campaign_spec_to_json` / `campaign_spec_from_json` are a strict,
-//    byte-stable round trip on support/json_io (the wire codec);
 //  - the `driver_configs_for` / `fault_configs_for` / `spec_campaign_config_
 //    for` derivations produce the per-device DriverCampaignConfig /
 //    FaultCampaignConfig / SpecCampaignConfig views the kernels consume —
 //    identical to what the CLI historically built by hand, so the PR 5
-//    config fingerprints are unchanged;
-//  - `campaign_spec_fingerprint` folds those per-device fingerprints into
-//    one digest pinning everything that can change results. Thread count,
-//    worker count, the bytecode-patch flag and the watchdog cap are
-//    deliberately excluded (they cannot change records or tallies), which
-//    is exactly what makes the digest a safe result-cache key;
-//  - the flag table (`find_campaign_flag` + `apply_campaign_flag` +
-//    `campaign_spec_to_args`) is shared between the CLI parser and the
-//    dispatcher's worker argv builder, so flag -> spec field is one table
-//    and a spec survives the spec -> argv -> spec round trip bit-exactly.
+//    config fingerprints (eval/shard.h) are unchanged;
+//  - the flag table (`campaign_spec_flags` + `find_campaign_flag` +
+//    `apply_campaign_flag`) is the only place a CLI flag maps to a spec
+//    field.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +24,6 @@
 #include "eval/driver_campaign.h"
 #include "eval/fault_campaign.h"
 #include "eval/spec_campaign.h"
-#include "support/json_io.h"
 
 namespace eval {
 
@@ -40,7 +31,7 @@ namespace eval {
 /// injection (the --faults matrix), or Devil-spec mutation (Table 2).
 enum class CampaignKind { kDriver, kFault, kSpec };
 
-/// Stable names used in JSON and diagnostics: "driver", "fault", "spec".
+/// Stable names used in diagnostics: "driver", "fault", "spec".
 [[nodiscard]] const char* campaign_kind_name(CampaignKind k);
 
 struct CampaignSpec {
@@ -53,7 +44,7 @@ struct CampaignSpec {
   /// Percentage of generated mutants booted; 0 keeps each corpus entry's
   /// own default (the paper's 25% for IDE, full enumeration for busmouse).
   unsigned sample_percent = 0;
-  uint64_t step_budget = 3'000'000;
+  uint64_t step_budget = kDefaultStepBudget;
   bool dedup = true;
   bool prefix_cache = true;
   bool bytecode_patch = true;
@@ -77,15 +68,6 @@ struct CampaignSpec {
 /// corpus, percentage ranges, the trigger list and the step budget.
 [[nodiscard]] std::vector<std::string> validate_campaign_spec(
     const CampaignSpec& spec);
-
-/// Strict, byte-stable JSON round trip (the service wire schema). from_json
-/// rejects missing, mistyped, out-of-range and unknown fields with
-/// std::runtime_error prefixed by `ctx`; to_json(from_json(x)) reproduces
-/// x's exact bytes.
-[[nodiscard]] support::JsonValue campaign_spec_to_json(
-    const CampaignSpec& spec);
-[[nodiscard]] CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
-                                                   const std::string& ctx);
 
 /// The corpus entries the spec selects, in report order: the polled
 /// mutation corpus for driver campaigns, polled + interrupt-driven for
@@ -119,14 +101,6 @@ struct DeviceFaultConfigs {
 [[nodiscard]] SpecCampaignConfig spec_campaign_config_for(
     const CampaignSpec& spec);
 
-/// Digest of everything in the spec that can change campaign results: the
-/// kind, then every selected campaign's PR 5 config fingerprint (driver and
-/// fault kinds) or the spec corpus text plus the dedup/survivor knobs (spec
-/// kind). Specs that differ only in threads, watchdog_ms or bytecode_patch
-/// fingerprint identically — the cache-replay guarantee. Compiles corpus
-/// Devil specs to derive configs; throws std::runtime_error when one fails.
-[[nodiscard]] std::string campaign_spec_fingerprint(const CampaignSpec& spec);
-
 /// One row of the shared flag table. `value_name` is nullptr for boolean
 /// flags; `implies_campaign` marks flags whose presence switches the CLI
 /// from the single-typo scenario into campaign mode (engine/telemetry
@@ -150,12 +124,5 @@ struct CampaignFlag {
 [[nodiscard]] std::string apply_campaign_flag(CampaignSpec& spec,
                                               const CampaignFlag& flag,
                                               const std::string& value);
-
-/// The inverse of the parser: flags that rebuild `spec` exactly through
-/// apply_campaign_flag (the dispatcher's worker argv). Every value-carrying
-/// field is emitted explicitly, so workers cannot drift from the requested
-/// spec even if defaults change.
-[[nodiscard]] std::vector<std::string> campaign_spec_to_args(
-    const CampaignSpec& spec);
 
 }  // namespace eval

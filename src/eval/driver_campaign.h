@@ -22,6 +22,9 @@
 
 namespace eval {
 
+/// Interpreter steps per campaign boot unless the caller overrides it.
+inline constexpr uint64_t kDefaultStepBudget = 3'000'000;
+
 /// Binds a campaign to one device model: the port window the device claims
 /// on the simulated bus, how to construct it, and the boot entry point its
 /// drivers implement. Devices are recycled between mutant boots through a
@@ -74,7 +77,7 @@ struct DriverCampaignConfig {
   /// The paper tests a random 25% of the generated mutants (§4.2).
   unsigned sample_percent = 25;
   uint64_t seed = 20010325;  // deterministic campaigns; any seed works
-  uint64_t step_budget = 3'000'000;
+  uint64_t step_budget = kDefaultStepBudget;
   /// Wall-clock cap per boot in milliseconds; 0 disables the watchdog. A
   /// trip classifies as a hang (mutation: infinite loop; fault campaign:
   /// hang) and bumps the watchdog_trips timing counter. Deliberately NOT

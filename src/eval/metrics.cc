@@ -21,28 +21,9 @@ constexpr const char* kFormatTag = "devil-repro-metrics";
 // Version 4: the timing section gained fault_boots_skipped.
 constexpr int64_t kFormatVersion = 4;
 
-const support::JsonValue& require(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  const support::JsonValue* v = obj.find(key);
-  if (!v) {
-    throw std::runtime_error(ctx + ": missing field '" + key + "'");
-  }
-  return *v;
-}
-
-uint64_t require_u64(const support::JsonValue& obj, const char* key,
-                     const std::string& ctx) {
-  int64_t v = require(obj, key, ctx).as_int();
-  if (v < 0) {
-    throw std::runtime_error(ctx + ": field '" + key + "' is negative");
-  }
-  return static_cast<uint64_t>(v);
-}
-
-const std::string& require_string(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  return require(obj, key, ctx).as_string();
-}
+using support::require;
+using support::require_string;
+using support::require_u64;
 
 /// Zero-suppressed (name, count) pairs as an insertion-ordered JSON object.
 support::JsonValue pairs_to_json(
@@ -282,11 +263,6 @@ ProcessMetrics capture_process_metrics(uint64_t threads, uint64_t wall_ns) {
   pm.hang_steps_skipped = snap.hang_steps_skipped;
   pm.fault_boots_skipped = snap.fault_boots_skipped;
   pm.worker_records = snap.worker_records;
-  pm.service_jobs_queued = snap.service_jobs_queued;
-  pm.service_jobs_dispatched = snap.service_jobs_dispatched;
-  pm.service_cache_hits = snap.service_cache_hits;
-  pm.service_workers_spawned = snap.service_workers_spawned;
-  pm.service_worker_retries = snap.service_worker_retries;
   return pm;
 }
 
@@ -309,21 +285,6 @@ support::JsonValue process_metrics_to_json(const ProcessMetrics& pm) {
   t.set("hang_steps_skipped", pm.hang_steps_skipped);
   t.set("fault_boots_skipped", pm.fault_boots_skipped);
   t.set("worker_records", histogram_to_json(pm.worker_records));
-  // The campaign-service counters ride in an optional sub-object emitted
-  // only when a daemon actually recorded something: non-daemon artifacts
-  // keep the exact pre-service bytes (the CI determinism `cmp`s and the
-  // round-trip goldens are format-version free).
-  if (pm.service_jobs_queued != 0 || pm.service_jobs_dispatched != 0 ||
-      pm.service_cache_hits != 0 || pm.service_workers_spawned != 0 ||
-      pm.service_worker_retries != 0) {
-    support::JsonValue svc = support::JsonValue::object();
-    svc.set("jobs_queued", pm.service_jobs_queued);
-    svc.set("jobs_dispatched", pm.service_jobs_dispatched);
-    svc.set("cache_hits", pm.service_cache_hits);
-    svc.set("workers_spawned", pm.service_workers_spawned);
-    svc.set("worker_retries", pm.service_worker_retries);
-    t.set("service", std::move(svc));
-  }
   return t;
 }
 
@@ -356,16 +317,6 @@ ProcessMetrics process_metrics_from_json(const support::JsonValue& v,
   pm.fault_boots_skipped = require_u64(v, "fault_boots_skipped", ctx);
   pm.worker_records = histogram_from_json(require(v, "worker_records", ctx),
                                           ctx + " worker_records");
-  // Optional service section (absent in pre-service artifacts and whenever
-  // every counter is zero).
-  if (const support::JsonValue* svc = v.find("service")) {
-    const std::string sctx = ctx + " service";
-    pm.service_jobs_queued = require_u64(*svc, "jobs_queued", sctx);
-    pm.service_jobs_dispatched = require_u64(*svc, "jobs_dispatched", sctx);
-    pm.service_cache_hits = require_u64(*svc, "cache_hits", sctx);
-    pm.service_workers_spawned = require_u64(*svc, "workers_spawned", sctx);
-    pm.service_worker_retries = require_u64(*svc, "worker_retries", sctx);
-  }
   return pm;
 }
 
@@ -382,11 +333,6 @@ void merge_process_metrics(ProcessMetrics& into, const ProcessMetrics& from) {
   into.hang_steps_skipped += from.hang_steps_skipped;
   into.fault_boots_skipped += from.fault_boots_skipped;
   into.worker_records.merge(from.worker_records);
-  into.service_jobs_queued += from.service_jobs_queued;
-  into.service_jobs_dispatched += from.service_jobs_dispatched;
-  into.service_cache_hits += from.service_cache_hits;
-  into.service_workers_spawned += from.service_workers_spawned;
-  into.service_worker_retries += from.service_worker_retries;
 }
 
 std::string serialize_metrics(const MetricsArtifact& artifact) {

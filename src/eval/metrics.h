@@ -88,15 +88,6 @@ struct ProcessMetrics {
   /// Fault scenarios classified from the baseline census without a boot.
   uint64_t fault_boots_skipped = 0;
   support::Histogram worker_records;
-  /// Campaign-service counters (support::MetricsSnapshot's service_* set).
-  /// Serialized as an optional "service" sub-object only when any counter
-  /// is nonzero, so artifacts from non-daemon runs are byte-identical to
-  /// the pre-service format and old artifacts still parse.
-  uint64_t service_jobs_queued = 0;
-  uint64_t service_jobs_dispatched = 0;
-  uint64_t service_cache_hits = 0;
-  uint64_t service_workers_spawned = 0;
-  uint64_t service_worker_retries = 0;
 
   friend bool operator==(const ProcessMetrics&,
                          const ProcessMetrics&) = default;

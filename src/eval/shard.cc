@@ -97,30 +97,9 @@ std::pair<uint64_t, uint64_t> parse_hex128(const std::string& s,
   return {lanes[0], lanes[1]};
 }
 
-// --- typed field access with artifact-shaped diagnostics ---------------------
-
-const support::JsonValue& require(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  const support::JsonValue* v = obj.find(key);
-  if (!v) {
-    throw std::runtime_error(ctx + ": missing field '" + key + "'");
-  }
-  return *v;
-}
-
-size_t require_size(const support::JsonValue& obj, const char* key,
-                    const std::string& ctx) {
-  int64_t v = require(obj, key, ctx).as_int();
-  if (v < 0) {
-    throw std::runtime_error(ctx + ": field '" + key + "' is negative");
-  }
-  return static_cast<size_t>(v);
-}
-
-const std::string& require_string(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  return require(obj, key, ctx).as_string();
-}
+using support::require;
+using support::require_string;
+using support::require_u64;
 
 /// Reads an optional boolean that the writer omits when false.
 bool optional_flag(const support::JsonValue& obj, const char* key) {
@@ -129,9 +108,9 @@ bool optional_flag(const support::JsonValue& obj, const char* key) {
 }
 
 /// Reads an optional non-negative integer that the writer omits when zero.
-size_t optional_size(const support::JsonValue& obj, const char* key,
-                     const std::string& ctx) {
-  return obj.find(key) ? require_size(obj, key, ctx) : 0;
+uint64_t optional_u64(const support::JsonValue& obj, const char* key,
+                      const std::string& ctx) {
+  return obj.find(key) ? require_u64(obj, key, ctx) : 0;
 }
 
 /// Opcode profiles serialize as zero-suppressed [opcode index, count] pairs
@@ -457,18 +436,17 @@ ShardArtifact parse_artifact(const support::JsonValue& c, size_t position) {
   a.engine = require_string(c, "engine", ctx);
   a.fingerprint = require_string(c, "fingerprint", ctx);
   a.dedup = require(c, "dedup", ctx).as_bool();
-  a.sample_size = require_size(c, "sample_size", ctx);
-  a.slice_begin = require_size(c, "slice_begin", ctx);
-  a.slice_end = require_size(c, "slice_end", ctx);
-  a.total_sites = require_size(c, "total_sites", ctx);
-  a.total_mutants = require_size(c, "total_mutants", ctx);
+  a.sample_size = require_u64(c, "sample_size", ctx);
+  a.slice_begin = require_u64(c, "slice_begin", ctx);
+  a.slice_end = require_u64(c, "slice_end", ctx);
+  a.total_sites = require_u64(c, "total_sites", ctx);
+  a.total_mutants = require_u64(c, "total_mutants", ctx);
   a.clean_fingerprint = require(c, "clean_fingerprint", ctx).as_int();
-  a.deduped_mutants = require_size(c, "deduped_mutants", ctx);
-  a.prefix_cache_hits = require_size(c, "prefix_cache_hits", ctx);
-  a.patch_hits = require_size(c, "patch_hits", ctx);
-  a.patch_fallbacks = require_size(c, "patch_fallbacks", ctx);
-  a.baseline_steps = static_cast<uint64_t>(
-      require_size(c, "baseline_steps", ctx));
+  a.deduped_mutants = require_u64(c, "deduped_mutants", ctx);
+  a.prefix_cache_hits = require_u64(c, "prefix_cache_hits", ctx);
+  a.patch_hits = require_u64(c, "patch_hits", ctx);
+  a.patch_fallbacks = require_u64(c, "patch_fallbacks", ctx);
+  a.baseline_steps = require_u64(c, "baseline_steps", ctx);
   a.baseline_opcodes = opcode_profile_from_json(
       require(c, "baseline_opcodes", ctx), ctx + " baseline_opcodes");
 
@@ -494,11 +472,11 @@ ShardArtifact parse_artifact(const support::JsonValue& c, size_t position) {
     const std::string rctx = ctx + " record #" + std::to_string(i);
     const support::JsonValue& rj = records[i];
     ShardRecord r;
-    r.rec.mutant_index = require_size(rj, "mutant", rctx);
-    r.rec.site = require_size(rj, "site", rctx);
+    r.rec.mutant_index = require_u64(rj, "mutant", rctx);
+    r.rec.site = require_u64(rj, "site", rctx);
     r.rec.outcome =
         outcome_from_short(require_string(rj, "outcome", rctx), rctx);
-    r.rec.steps = static_cast<uint64_t>(require_size(rj, "steps", rctx));
+    r.rec.steps = require_u64(rj, "steps", rctx);
     if (const support::JsonValue* detail = rj.find("detail")) {
       r.rec.detail = detail->as_string();
     }
@@ -558,7 +536,7 @@ ShardArtifact parse_artifact(const support::JsonValue& c, size_t position) {
   const auto& stored = require(c, "tally", ctx);
   for (Outcome o : kAllOutcomes) {
     const support::JsonValue* v = stored.find(outcome_short(o));
-    size_t stored_count = v ? require_size(stored, outcome_short(o), ctx) : 0;
+    size_t stored_count = v ? require_u64(stored, outcome_short(o), ctx) : 0;
     if (stored_count != a.tally.mutants_of(o)) {
       throw std::runtime_error(
           ctx + ": tally['" + std::string(outcome_short(o)) + "'] says " +
@@ -579,14 +557,13 @@ FaultShardArtifact parse_fault_artifact(const support::JsonValue& c,
   a.entry = require_string(c, "entry", ctx);
   a.engine = require_string(c, "engine", ctx);
   a.fingerprint = require_string(c, "fingerprint", ctx);
-  a.total_scenarios = require_size(c, "total_scenarios", ctx);
-  a.sample_size = require_size(c, "sample_size", ctx);
-  a.slice_begin = require_size(c, "slice_begin", ctx);
-  a.slice_end = require_size(c, "slice_end", ctx);
+  a.total_scenarios = require_u64(c, "total_scenarios", ctx);
+  a.sample_size = require_u64(c, "sample_size", ctx);
+  a.slice_begin = require_u64(c, "slice_begin", ctx);
+  a.slice_end = require_u64(c, "slice_end", ctx);
   a.clean_fingerprint = require(c, "clean_fingerprint", ctx).as_int();
-  a.triggered = require_size(c, "triggered", ctx);
-  a.baseline_steps = static_cast<uint64_t>(
-      require_size(c, "baseline_steps", ctx));
+  a.triggered = require_u64(c, "triggered", ctx);
+  a.baseline_steps = require_u64(c, "baseline_steps", ctx);
   a.baseline_opcodes = opcode_profile_from_json(
       require(c, "baseline_opcodes", ctx), ctx + " baseline_opcodes");
 
@@ -618,16 +595,16 @@ FaultShardArtifact parse_fault_artifact(const support::JsonValue& c,
     const std::string rctx = ctx + " record #" + std::to_string(i);
     const support::JsonValue& rj = records[i];
     FaultRecord r;
-    r.scenario_index = require_size(rj, "scenario", rctx);
-    r.plan.port = static_cast<uint32_t>(require_size(rj, "port", rctx));
+    r.scenario_index = require_u64(rj, "scenario", rctx);
+    r.plan.port = static_cast<uint32_t>(require_u64(rj, "port", rctx));
     r.plan.kind =
         fault_kind_from_short(require_string(rj, "kind", rctx), rctx);
-    r.plan.after = static_cast<uint32_t>(require_size(rj, "after", rctx));
-    r.plan.mask = static_cast<uint32_t>(optional_size(rj, "mask", rctx));
-    r.plan.value = static_cast<uint32_t>(optional_size(rj, "value", rctx));
+    r.plan.after = static_cast<uint32_t>(require_u64(rj, "after", rctx));
+    r.plan.mask = static_cast<uint32_t>(optional_u64(rj, "mask", rctx));
+    r.plan.value = static_cast<uint32_t>(optional_u64(rj, "value", rctx));
     r.outcome =
         fault_outcome_from_short(require_string(rj, "outcome", rctx), rctx);
-    r.steps = static_cast<uint64_t>(require_size(rj, "steps", rctx));
+    r.steps = require_u64(rj, "steps", rctx);
     if (const support::JsonValue* detail = rj.find("detail")) {
       r.detail = detail->as_string();
     }
@@ -658,7 +635,7 @@ FaultShardArtifact parse_fault_artifact(const support::JsonValue& c,
   for (FaultOutcome o : kAllFaultOutcomes) {
     const support::JsonValue* v = stored.find(fault_outcome_short(o));
     size_t stored_count =
-        v ? require_size(stored, fault_outcome_short(o), ctx) : 0;
+        v ? require_u64(stored, fault_outcome_short(o), ctx) : 0;
     if (stored_count != a.tally.scenarios_of(o)) {
       throw std::runtime_error(
           ctx + ": tally['" + std::string(fault_outcome_short(o)) +
@@ -698,9 +675,9 @@ ShardBundle parse_shard_bundle(const std::string& text) {
     ShardBundle bundle;
     const support::JsonValue& shard = require(root, "shard", ctx);
     bundle.shard.index =
-        static_cast<unsigned>(require_size(shard, "index", "shard"));
+        static_cast<unsigned>(require_u64(shard, "index", "shard"));
     bundle.shard.count =
-        static_cast<unsigned>(require_size(shard, "count", "shard"));
+        static_cast<unsigned>(require_u64(shard, "count", "shard"));
     if (bundle.shard.count == 0 || bundle.shard.index == 0 ||
         bundle.shard.index > bundle.shard.count) {
       throw std::runtime_error("shard artifact has invalid shard coordinates " +

@@ -439,4 +439,27 @@ JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+const JsonValue& require(const JsonValue& obj, const char* key,
+                         const std::string& ctx) {
+  const JsonValue* v = obj.find(key);
+  if (!v) {
+    throw std::runtime_error(ctx + ": missing field '" + key + "'");
+  }
+  return *v;
+}
+
+uint64_t require_u64(const JsonValue& obj, const char* key,
+                     const std::string& ctx) {
+  int64_t v = require(obj, key, ctx).as_int();
+  if (v < 0) {
+    throw std::runtime_error(ctx + ": field '" + key + "' is negative");
+  }
+  return static_cast<uint64_t>(v);
+}
+
+const std::string& require_string(const JsonValue& obj, const char* key,
+                                  const std::string& ctx) {
+  return require(obj, key, ctx).as_string();
+}
+
 }  // namespace support

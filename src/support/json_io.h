@@ -90,4 +90,16 @@ class JsonValue {
 /// malformed, truncated or trailing-garbage input.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
+/// Strict field access for the artifact readers (shard bundles, metrics).
+/// A missing key throws std::runtime_error "CTX: missing field 'KEY'", a
+/// negative count "CTX: field 'KEY' is negative"; a value of the wrong kind
+/// throws JsonError from the typed accessor.
+[[nodiscard]] const JsonValue& require(const JsonValue& obj, const char* key,
+                                       const std::string& ctx);
+[[nodiscard]] uint64_t require_u64(const JsonValue& obj, const char* key,
+                                   const std::string& ctx);
+[[nodiscard]] const std::string& require_string(const JsonValue& obj,
+                                                const char* key,
+                                                const std::string& ctx);
+
 }  // namespace support

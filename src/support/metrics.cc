@@ -107,36 +107,6 @@ void Metrics::add_worker_records(const std::vector<uint64_t>& shares) {
   for (uint64_t s : shares) g_metrics.worker_records.add(s);
 }
 
-void Metrics::add_service_job_queued() {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(g_metrics_mu);
-  ++g_metrics.service_jobs_queued;
-}
-
-void Metrics::add_service_job_dispatched() {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(g_metrics_mu);
-  ++g_metrics.service_jobs_dispatched;
-}
-
-void Metrics::add_service_cache_hit() {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(g_metrics_mu);
-  ++g_metrics.service_cache_hits;
-}
-
-void Metrics::add_service_workers_spawned(uint64_t n) {
-  if (!enabled() || n == 0) return;
-  std::lock_guard<std::mutex> lock(g_metrics_mu);
-  g_metrics.service_workers_spawned += n;
-}
-
-void Metrics::add_service_worker_retries(uint64_t n) {
-  if (!enabled() || n == 0) return;
-  std::lock_guard<std::mutex> lock(g_metrics_mu);
-  g_metrics.service_worker_retries += n;
-}
-
 MetricsSnapshot Metrics::snapshot() {
   std::lock_guard<std::mutex> lock(g_metrics_mu);
   return g_metrics;

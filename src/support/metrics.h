@@ -97,16 +97,6 @@ struct MetricsSnapshot {
   /// records equal a boot's; the count says how they were reached.
   uint64_t fault_boots_skipped = 0;
   Histogram worker_records;  // one sample per worker per parallel phase
-  /// Campaign-service counters (src/serve): jobs accepted onto the queue,
-  /// jobs that actually fanned out to shard workers, jobs answered from the
-  /// fingerprint cache (zero mutant boots), shard worker processes spawned
-  /// (retries included) and slices re-dispatched after a worker died or
-  /// wedged. All zero outside a `--serve` daemon.
-  uint64_t service_jobs_queued = 0;
-  uint64_t service_jobs_dispatched = 0;
-  uint64_t service_cache_hits = 0;
-  uint64_t service_workers_spawned = 0;
-  uint64_t service_worker_retries = 0;
 };
 
 /// Process-wide wall-clock collector. All methods are thread-safe; when
@@ -128,12 +118,6 @@ class Metrics {
   static void add_fault_boots_skipped(uint64_t n);
   /// Records how many parallel-phase indices each worker executed.
   static void add_worker_records(const std::vector<uint64_t>& shares);
-  /// Campaign-service counters (see MetricsSnapshot).
-  static void add_service_job_queued();
-  static void add_service_job_dispatched();
-  static void add_service_cache_hit();
-  static void add_service_workers_spawned(uint64_t n);
-  static void add_service_worker_retries(uint64_t n);
 
   [[nodiscard]] static MetricsSnapshot snapshot();
   static void reset();

@@ -1,10 +1,15 @@
-// Tests for the evaluation harness: outcome classification and the two
-// campaign drivers.
+// Tests for the evaluation harness: outcome classification, the two
+// campaign drivers and the campaign flag table.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <utility>
 
 #include "corpus/drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "eval/campaign_spec.h"
 #include "eval/device_bindings.h"
 #include "eval/driver_campaign.h"
 #include "eval/report.h"
@@ -232,6 +237,71 @@ TEST(Report, ComparisonComputesRatios) {
   std::string s = eval::render_comparison(c, d);
   EXPECT_NE(s.find("3.0x more errors detected"), std::string::npos);
   EXPECT_NE(s.find("4.0x fewer undetected errors"), std::string::npos);
+}
+
+// ---- campaign flag table --------------------------------------------------------
+
+// Every row of the flag table reaches a handler: a valid non-default value
+// moves the spec off its defaults. A row added without a branch in
+// apply_campaign_flag fails here rather than at run time with "unhandled
+// campaign flag", and a new value-carrying row fails until it gets a value.
+TEST(CampaignFlags, EveryRowAppliesANonDefaultValue) {
+  const std::map<std::string, std::string> valid = {
+      {"--device", "busmouse"},       {"--threads", "4"},
+      {"--seed", "7"},                {"--sample-percent", "50"},
+      {"--step-budget", "300000"},    {"--watchdog-ms", "0"},
+      {"--fault-triggers", "3,5"},    {"--fault-sample-percent", "50"},
+      {"--survivor-samples", "2"}};
+  for (const eval::CampaignFlag& flag : eval::campaign_spec_flags()) {
+    SCOPED_TRACE(flag.flag);
+    EXPECT_EQ(eval::find_campaign_flag(flag.flag), &flag);
+    std::string value;
+    if (flag.value_name) {
+      auto it = valid.find(flag.flag);
+      ASSERT_NE(it, valid.end()) << "value-carrying row without a test value";
+      value = it->second;
+    }
+    eval::CampaignSpec spec;
+    EXPECT_EQ(eval::apply_campaign_flag(spec, flag, value), "");
+    EXPECT_NE(spec, eval::CampaignSpec{});
+  }
+}
+
+// Each value-carrying row rejects a malformed value with the diagnostic the
+// CLI prints: the handler's own, or for --device (any name parses) the
+// first validation diagnostic.
+TEST(CampaignFlags, EveryValueRowRejectsAMalformedValue) {
+  const std::map<std::string, std::pair<std::string, std::string>> bad = {
+      {"--device", {"floppy", "unknown device 'floppy'"}},
+      {"--threads", {"-3", "--threads: '-3' is not a thread count"}},
+      {"--seed", {"1e9", "--seed: '1e9' is not a seed"}},
+      {"--sample-percent",
+       {"150", "--sample-percent: '150' is not a percentage"}},
+      {"--step-budget", {"0", "--step-budget: '0' is not a step budget"}},
+      {"--watchdog-ms",
+       {"100000000", "--watchdog-ms: '100000000' is not a millisecond count"}},
+      {"--fault-triggers",
+       {"1,,2",
+        "--fault-triggers: '1,,2' is not a comma-separated offset list"}},
+      {"--fault-sample-percent",
+       {"0", "--fault-sample-percent: '0' is not a percentage"}},
+      {"--survivor-samples",
+       {"many", "--survivor-samples: 'many' is not a count"}}};
+  for (const eval::CampaignFlag& flag : eval::campaign_spec_flags()) {
+    if (!flag.value_name) continue;
+    SCOPED_TRACE(flag.flag);
+    auto it = bad.find(flag.flag);
+    ASSERT_NE(it, bad.end()) << "value-carrying row without a rejected value";
+    const auto& [value, prefix] = it->second;
+    eval::CampaignSpec spec;
+    std::string diag = eval::apply_campaign_flag(spec, flag, value);
+    if (diag.empty()) {
+      std::vector<std::string> diags = eval::validate_campaign_spec(spec);
+      ASSERT_FALSE(diags.empty());
+      diag = diags.front();
+    }
+    EXPECT_EQ(diag.rfind(prefix, 0), 0u) << diag;
+  }
 }
 
 }  // namespace
