@@ -244,7 +244,7 @@ Token Lexer::next() {
     default:
       diags_.error("DVL015", begin,
                    std::string("unexpected character '") + c + "'");
-      return make(TokKind::kError, begin, std::string_view(&c, 1));
+      return make(TokKind::kError, begin, spelling(begin));
   }
 }
 
@@ -252,12 +252,9 @@ std::vector<Token> Lexer::lex_all() {
   std::vector<Token> out;
   // The corpus specs average 3.5 to 5 bytes per token.
   out.reserve(buf_.text().size() / 3 + 1);
-  for (;;) {
-    Token t = next();
-    bool eof = t.is(TokKind::kEof);
-    out.push_back(std::move(t));
-    if (eof) break;
-  }
+  do {
+    out.push_back(next());
+  } while (!out.back().is(TokKind::kEof));
   return out;
 }
 

@@ -12,17 +12,23 @@ namespace devil {
 
 class Lexer {
  public:
-  Lexer(const support::SourceBuffer& buffer, support::DiagnosticEngine& diags)
-      : buf_(buffer), diags_(diags) {}
+  /// Lexes `buffer` from `start`, which must be the start of the buffer or
+  /// the end of a token lexed from the same bytes.
+  Lexer(const support::SourceBuffer& buffer, support::DiagnosticEngine& diags,
+        support::SourceLoc start = {})
+      : buf_(buffer), diags_(diags), loc_(start) {}
 
-  /// Lexes the whole buffer. The last token is always kEof. Each token is
-  /// decided by the bytes up to and including its end offset (the lexer
+  /// Lexes the rest of the buffer. The last token is always kEof. Each token
+  /// is decided by the bytes up to and including its end offset (the lexer
   /// looks at most one byte past a token), so an edit leaves every token
-  /// that ends before it unchanged.
+  /// that ends before it unchanged. The tokens' `text` views the buffer:
+  /// keep the buffer alive while the tokens are in use.
   [[nodiscard]] std::vector<Token> lex_all();
 
- private:
+  /// The next token; kEof once the buffer is exhausted.
   Token next();
+
+ private:
   Token make(TokKind kind, support::SourceLoc begin, std::string_view text);
   /// The source bytes from `begin` up to the current position.
   [[nodiscard]] std::string_view spelling(support::SourceLoc begin) const;

@@ -1,6 +1,7 @@
 #include "devil/parser.h"
 
 #include <string>
+#include <utility>
 
 namespace devil {
 
@@ -24,10 +25,10 @@ bool Parser::accept(TokKind k) {
 
 bool Parser::expect(TokKind k, const char* what) {
   if (accept(k)) return true;
-  diags_.error("DVL020", peek().range.begin,
-               std::string("expected ") + tok_kind_name(k) + " " + what +
-                   ", found " + tok_kind_name(peek().kind) +
-                   (peek().text.empty() ? "" : " '" + peek().text + "'"));
+  std::string msg = std::string("expected ") + tok_kind_name(k) + " " + what +
+                    ", found " + tok_kind_name(peek().kind);
+  if (!peek().text.empty()) msg.append(" '").append(peek().text).append("'");
+  diags_.error("DVL020", peek().range.begin, std::move(msg));
   fail();
 }
 

@@ -1,7 +1,7 @@
 // Token model for the Devil IDL (paper §2.1, Fig. 3).
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <string_view>
 
 #include "support/source.h"
@@ -55,10 +55,14 @@ enum class TokKind {
 
 [[nodiscard]] const char* tok_kind_name(TokKind k);
 
+/// One lexed token. Trivially copyable: `text` views the bytes of the
+/// support::SourceBuffer the token was lexed from, so a token must not
+/// outlive that buffer. The parser copies every name and pattern it keeps
+/// into the AST, so a parsed Specification does not depend on the buffer.
 struct Token {
   TokKind kind = TokKind::kEof;
   support::SourceRange range;
-  std::string text;       // raw spelling (bit strings keep their quotes off)
+  std::string_view text;  // raw spelling (bit strings keep their quotes off)
   uint64_t int_value = 0; // valid when kind == kInt
 
   [[nodiscard]] bool is(TokKind k) const { return kind == k; }

@@ -54,25 +54,11 @@ std::pair<size_t, size_t> diff_bounds(const Seq& base, const Seq& seq, Eq eq,
   return {prefix, suffix};
 }
 
-/// Dedup key of a mutant that lexes: its token diff against the unmutated
-/// spec's tokens, with the middle tokens encoded as (kind, line, integer
-/// value or spelling). Two mutants get equal keys exactly when their whole
-/// token streams are equal under `same_token`, the classes the Devil front
-/// end cannot tell apart; the key is a few dozen bytes instead of the
-/// stream.
-std::string token_diff_key(const std::vector<devil::Token>& base,
-                           const std::vector<devil::Token>& tokens,
-                           size_t splice_offset) {
-  // Tokens that end before the splice are the unmutated spec's: each token
-  // is decided by the bytes up to and including its end offset
-  // (devil::Lexer::lex_all), and those bytes are unchanged.
-  const size_t known =
-      std::partition_point(base.begin(), base.end(),
-                           [&](const devil::Token& t) {
-                             return t.range.end.offset < splice_offset;
-                           }) -
-      base.begin();
-  auto [prefix, suffix] = diff_bounds(base, tokens, same_token, known);
+/// A token diff against the unmutated spec's tokens as a key: the common
+/// prefix and suffix lengths, and the tokens between them as (kind, line,
+/// integer value or spelling).
+std::string encode_diff_key(const std::vector<devil::Token>& tokens,
+                            size_t prefix, size_t suffix) {
   std::string key = "t";
   append_raw(key, static_cast<uint64_t>(prefix));
   append_raw(key, static_cast<uint64_t>(suffix));
@@ -88,6 +74,39 @@ std::string token_diff_key(const std::vector<devil::Token>& base,
     }
   }
   return key;
+}
+
+/// Dedup key of a mutant that lexes: the minimal diff (`diff_bounds`) of
+/// its `devil::relex_spec` tokens against the unmutated spec's. Two mutants
+/// get equal keys exactly when their whole token streams are equal under
+/// `same_token`, the classes the Devil front end cannot tell apart; the key
+/// is a few dozen bytes instead of the stream. The diff is a trim of the
+/// relexed window against the base tokens it replaced: the tokens before
+/// the window are the base's, and so is the shifted suffix after it unless
+/// the mutant adds or removes a line, which `same_token` tells apart. Then,
+/// and when the common prefix runs to the window's end (it may go on past
+/// it), the diff is found by walking the whole streams.
+std::string token_diff_key(const std::vector<devil::Token>& base,
+                           const std::vector<devil::Token>& tokens,
+                           const devil::RelexWindow& w) {
+  const size_t relexed = w.end - w.begin;
+  size_t lead = 0;
+  while (lead < relexed && w.begin + lead < base.size() &&
+         same_token(tokens[w.begin + lead], base[w.begin + lead])) {
+    ++lead;
+  }
+  const size_t prefix = w.begin + lead;
+  if (w.line_delta != 0 || lead == relexed || prefix > w.base_resume) {
+    auto [p, s] = diff_bounds(base, tokens, same_token, prefix);
+    return encode_diff_key(tokens, p, s);
+  }
+  const size_t limit = std::min(w.end, w.base_resume) - prefix;
+  size_t trail = 0;
+  while (trail < limit && same_token(tokens[w.end - 1 - trail],
+                                     base[w.base_resume - 1 - trail])) {
+    ++trail;
+  }
+  return encode_diff_key(tokens, prefix, tokens.size() - w.end + trail);
 }
 
 /// Dedup key of a mutant that does not lex: its byte diff against the
@@ -127,22 +146,27 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   row.sites = sites.size();
   row.mutants = mutants.size();
 
-  // One pass: each worker splices its mutant, lexes it once, keys it on the
-  // tokens and hands the same tokens to the parser and sema. Workers write
-  // only their own index; everything order-sensitive runs after the join,
-  // so any thread count yields the identical row.
+  // One pass: each worker splices its mutant, relexes only the window
+  // around the edit (the rest of its tokens are the unmutated spec's), keys
+  // it on the tokens and hands the same tokens to the parser and sema.
+  // Workers write only their own index; everything order-sensitive runs
+  // after the join, so any thread count yields the identical row.
   std::vector<std::string> keys(config.dedup ? mutants.size() : 0);
   std::vector<uint8_t> detected(mutants.size(), 0);
   support::parallel_for(mutants.size(), config.threads, [&](size_t i) {
+    const mutation::Site& site = sites[mutants[i].site];
     const support::SourceBuffer buf(
         spec.file, mutation::apply_mutant(spec.text, sites, mutants[i]));
     devil::CompileResult result;
-    std::vector<devil::Token> tokens = devil::lex_spec(buf, result);
+    devil::RelexWindow window;
+    std::vector<devil::Token> tokens = devil::relex_spec(
+        buf, base_tokens,
+        {site.offset, site.length, mutants[i].replacement.size()}, result,
+        &window);
     if (config.dedup) {
       keys[i] = result.diags.has_errors()
                     ? text_diff_key(spec.text, buf.text())
-                    : token_diff_key(base_tokens, tokens,
-                                     sites[mutants[i].site].offset);
+                    : token_diff_key(base_tokens, tokens, window);
     }
     devil::check_tokens(std::move(tokens), result);
     detected[i] = result.ok() ? 0 : 1;

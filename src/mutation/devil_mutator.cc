@@ -1,6 +1,7 @@
 #include "mutation/devil_mutator.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "devil/lexer.h"
 #include "support/diagnostics.h"
@@ -12,12 +13,12 @@ namespace {
 using devil::Token;
 using devil::TokKind;
 
-bool contains(const std::vector<std::string>& v, const std::string& s) {
+bool contains(const std::vector<std::string>& v, std::string_view s) {
   return std::find(v.begin(), v.end(), s) != v.end();
 }
 
 const std::vector<std::string>* class_members(const DevilNames& names,
-                                              const std::string& ident) {
+                                              std::string_view ident) {
   if (contains(names.ports, ident)) return &names.ports;
   if (contains(names.registers, ident)) return &names.registers;
   if (contains(names.variables, ident)) return &names.variables;
@@ -82,7 +83,7 @@ std::vector<Site> scan_devil_sites(const std::string& source,
         // Integer literal: offsets, widths, bit indices, range bounds,
         // pre-action values. The literal rules apply (hex class when the
         // spelling is 0x..., decimal otherwise).
-        if (!mutate_int_literal(t.text, false).empty()) {
+        if (!mutate_int_literal(std::string(t.text), false).empty()) {
           st.add(t, SiteKind::kLiteral);
         }
         break;

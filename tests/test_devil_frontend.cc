@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 
 #include "devil/compiler.h"
 #include "devil/lexer.h"
@@ -12,14 +13,23 @@ namespace {
 
 using devil::TokKind;
 
-std::vector<devil::Token> lex(const std::string& text,
-                              support::DiagnosticEngine& diags) {
-  support::SourceBuffer buf("test.dil", text);
-  devil::Lexer lexer(buf, diags);
-  return lexer.lex_all();
+/// Lexed tokens together with the buffer their `text` views.
+struct Lexed {
+  std::unique_ptr<support::SourceBuffer> buf;
+  std::vector<devil::Token> toks;
+
+  [[nodiscard]] size_t size() const { return toks.size(); }
+  const devil::Token& operator[](size_t i) const { return toks[i]; }
+};
+
+Lexed lex(const std::string& text, support::DiagnosticEngine& diags) {
+  Lexed out{std::make_unique<support::SourceBuffer>("test.dil", text), {}};
+  devil::Lexer lexer(*out.buf, diags);
+  out.toks = lexer.lex_all();
+  return out;
 }
 
-std::vector<devil::Token> lex_ok(const std::string& text) {
+Lexed lex_ok(const std::string& text) {
   support::DiagnosticEngine diags;
   auto toks = lex(text, diags);
   EXPECT_FALSE(diags.has_errors()) << diags.render();
@@ -28,9 +38,9 @@ std::vector<devil::Token> lex_ok(const std::string& text) {
 
 std::optional<devil::Specification> parse(const std::string& text,
                                           support::DiagnosticEngine& diags) {
-  auto toks = lex(text, diags);
+  auto lexed = lex(text, diags);
   if (diags.has_errors()) return std::nullopt;
-  devil::Parser parser(std::move(toks), diags);
+  devil::Parser parser(std::move(lexed.toks), diags);
   return parser.parse();
 }
 
