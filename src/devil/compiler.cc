@@ -82,7 +82,6 @@ std::vector<Token> relex_spec(const support::SourceBuffer& buf,
   if (window) {
     window->begin = keep;
     window->end = window_end;
-    window->base_resume = resync ? anchor + 1 : base.size();
     window->line_delta = static_cast<int64_t>(out.back().range.end.line) -
                          static_cast<int64_t>(base.back().range.end.line);
   }

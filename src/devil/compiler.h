@@ -55,12 +55,11 @@ struct TextEdit {
 
 /// How `relex_spec` assembled its stream. Tokens [0, begin) are base tokens,
 /// [begin, end) were relexed from the edited buffer, and the rest are the
-/// base tokens from `base_resume` on, shifted past the edit. The stream has
+/// base stream's last tokens, shifted past the edit. The stream has
 /// `line_delta` more lines than the base text.
 struct RelexWindow {
   size_t begin = 0;
   size_t end = 0;
-  size_t base_resume = 0;
   int64_t line_delta = 0;
 };
 

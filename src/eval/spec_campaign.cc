@@ -38,15 +38,17 @@ void append_raw(std::string& key, T v) {
 }
 
 /// Minimal diff of `seq` against `base`: the length of their common prefix,
-/// and of the common suffix of what follows it. The first `known` elements
-/// are already known to be equal.
+/// and of the common suffix of what follows it. The first `known_prefix`
+/// elements, and the last `known_suffix` (aligned at the ends), are already
+/// known to be equal.
 template <typename Seq, typename Eq>
 std::pair<size_t, size_t> diff_bounds(const Seq& base, const Seq& seq, Eq eq,
-                                      size_t known = 0) {
+                                      size_t known_prefix = 0,
+                                      size_t known_suffix = 0) {
   const size_t n = std::min(base.size(), seq.size());
-  size_t prefix = std::min(known, n);
+  size_t prefix = std::min(known_prefix, n);
   while (prefix < n && eq(base[prefix], seq[prefix])) ++prefix;
-  size_t suffix = 0;
+  size_t suffix = std::min(known_suffix, n - prefix);
   while (suffix < n - prefix &&
          eq(base[base.size() - 1 - suffix], seq[seq.size() - 1 - suffix])) {
     ++suffix;
@@ -80,33 +82,17 @@ std::string encode_diff_key(const std::vector<devil::Token>& tokens,
 /// its `devil::relex_spec` tokens against the unmutated spec's. Two mutants
 /// get equal keys exactly when their whole token streams are equal under
 /// `same_token`, the classes the Devil front end cannot tell apart; the key
-/// is a few dozen bytes instead of the stream. The diff is a trim of the
-/// relexed window against the base tokens it replaced: the tokens before
-/// the window are the base's, and so is the shifted suffix after it unless
-/// the mutant adds or removes a line, which `same_token` tells apart. Then,
-/// and when the common prefix runs to the window's end (it may go on past
-/// it), the diff is found by walking the whole streams.
+/// is a few dozen bytes instead of the stream. The tokens before the
+/// relexed window are the base's, and so is the shifted suffix after it
+/// unless the mutant adds or removes a line, which `same_token` tells
+/// apart; the diff walks only the window and what matches past its edges.
 std::string token_diff_key(const std::vector<devil::Token>& base,
                            const std::vector<devil::Token>& tokens,
                            const devil::RelexWindow& w) {
-  const size_t relexed = w.end - w.begin;
-  size_t lead = 0;
-  while (lead < relexed && w.begin + lead < base.size() &&
-         same_token(tokens[w.begin + lead], base[w.begin + lead])) {
-    ++lead;
-  }
-  const size_t prefix = w.begin + lead;
-  if (w.line_delta != 0 || lead == relexed || prefix > w.base_resume) {
-    auto [p, s] = diff_bounds(base, tokens, same_token, prefix);
-    return encode_diff_key(tokens, p, s);
-  }
-  const size_t limit = std::min(w.end, w.base_resume) - prefix;
-  size_t trail = 0;
-  while (trail < limit && same_token(tokens[w.end - 1 - trail],
-                                     base[w.base_resume - 1 - trail])) {
-    ++trail;
-  }
-  return encode_diff_key(tokens, prefix, tokens.size() - w.end + trail);
+  auto [prefix, suffix] =
+      diff_bounds(base, tokens, same_token, w.begin,
+                  w.line_delta == 0 ? tokens.size() - w.end : 0);
+  return encode_diff_key(tokens, prefix, suffix);
 }
 
 /// Dedup key of a mutant that does not lex: its byte diff against the
