@@ -88,7 +88,8 @@ std::vector<Token> relex_spec(const support::SourceBuffer& buf,
   return out;
 }
 
-void check_tokens(std::vector<Token> tokens, CompileResult& result) {
+void check_tokens(std::vector<Token> tokens, CompileResult& result,
+                  CheckMode mode) {
   if (result.diags.has_errors()) return;
   {
     support::StageTimer timer(support::Stage::kDevilParse);
@@ -98,7 +99,7 @@ void check_tokens(std::vector<Token> tokens, CompileResult& result) {
     result.spec = std::make_unique<Specification>(std::move(*spec));
   }
   support::StageTimer timer(support::Stage::kDevilSema);
-  Sema sema(result.diags);
+  Sema sema(result.diags, mode);
   result.info = sema.check(*result.spec);
 }
 

@@ -82,8 +82,10 @@ struct RelexWindow {
 /// `lex_spec` or `relex_spec` into the same `result`; does nothing when
 /// lexing failed. Timed as Stage::kDevilParse and Stage::kDevilSema. The
 /// Table 2 campaign calls the two halves itself to key each mutant on its
-/// tokens in between.
-void check_tokens(std::vector<Token> tokens, CompileResult& result);
+/// tokens in between, and checks in `CheckMode::kFirstError`: it reads only
+/// the verdict, which equals the full check's.
+void check_tokens(std::vector<Token> tokens, CompileResult& result,
+                  CheckMode mode = CheckMode::kFull);
 
 /// One-line inventory of a checked device (ports/registers/variables), used
 /// by the figure benches and examples.

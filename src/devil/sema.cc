@@ -1,10 +1,12 @@
 #include "devil/sema.h"
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <set>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace devil {
@@ -17,11 +19,28 @@ int bits_needed(uint64_t max_value) {
   return n;
 }
 
-std::string fmt(const char* pre, const std::string& name, const char* post) {
-  return std::string(pre) + "'" + name + "'" + post;
+void append(std::string& out, std::string_view part) { out.append(part); }
+void append(std::string& out, char part) { out.push_back(part); }
+template <std::integral T>
+void append(std::string& out, T part) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, part).ptr);
 }
 
 }  // namespace
+
+template <typename... Parts>
+void Sema::error(const char* code, support::SourceLoc loc,
+                 const Parts&... parts) {
+  {
+    std::string msg;
+    (append(msg, parts), ...);
+    diags_.error(code, loc, std::move(msg));
+  }
+  // Thrown once `msg` is gone: with nothing to destroy in this frame, the
+  // unwinder passes it without stopping for a cleanup.
+  if (mode_ == CheckMode::kFirstError) throw FirstError{};
+}
 
 /// Bits of every register that variable fragments claim, one bit per
 /// register bit packed in 64-bit words. Registers are numbered in
@@ -82,13 +101,17 @@ std::optional<DeviceInfo> Sema::check(const Specification& spec) {
   DeviceInfo info;
   info.decl = &spec.device;
   int before = diags_.error_count();
-  check_ports(spec.device, info);
-  check_registers(spec.device, info);
-  check_variables(spec.device, info);
-  check_pre_actions(spec.device, info);
-  ClaimedBits claimed(spec.device);
-  check_overlap(spec.device, info, claimed);
-  check_no_omission(spec.device, info, claimed);
+  try {
+    check_ports(spec.device, info);
+    check_registers(spec.device, info);
+    check_variables(spec.device, info);
+    check_pre_actions(spec.device, info);
+    ClaimedBits claimed(spec.device);
+    check_overlap(spec.device, info, claimed);
+    check_no_omission(spec.device, info, claimed);
+  } catch (const FirstError&) {
+    return std::nullopt;
+  }
   if (diags_.error_count() > before) return std::nullopt;
   return info;
 }
@@ -96,17 +119,15 @@ std::optional<DeviceInfo> Sema::check(const Specification& spec) {
 void Sema::check_ports(const DeviceDecl& dev, DeviceInfo& info) {
   for (const auto& p : dev.params) {
     if (info.ports.count(p.name)) {
-      diags_.error("DVL100", p.loc,
-                   fmt("duplicate port parameter ", p.name, ""));
+      error("DVL100", p.loc, "duplicate port parameter '", p.name, "'");
       continue;
     }
     if (p.width_bits != 8 && p.width_bits != 16 && p.width_bits != 32) {
-      diags_.error("DVL101", p.loc,
-                   fmt("port ", p.name, " has invalid width (must be 8, 16 or 32)"));
+      error("DVL101", p.loc, "port '", p.name,
+            "' has invalid width (must be 8, 16 or 32)");
     }
     if (p.has_empty_range || p.offsets.empty()) {
-      diags_.error("DVL102", p.loc,
-                   fmt("port ", p.name, " has an empty offset range"));
+      error("DVL102", p.loc, "port '", p.name, "' has an empty offset range");
     }
     // Offsets nearly always ascend, which rules out a repeat.
     if (std::adjacent_find(p.offsets.begin(), p.offsets.end(),
@@ -114,10 +135,8 @@ void Sema::check_ports(const DeviceDecl& dev, DeviceInfo& info) {
       std::set<uint64_t> seen_offsets;
       for (uint64_t off : p.offsets) {
         if (!seen_offsets.insert(off).second) {
-          std::ostringstream os;
-          os << "offset " << off << " appears twice in the range of port '"
-             << p.name << "'";
-          diags_.error("DVL103", p.loc, os.str());
+          error("DVL103", p.loc, "offset ", off,
+                " appears twice in the range of port '", p.name, "'");
         }
       }
     }
@@ -128,7 +147,7 @@ void Sema::check_ports(const DeviceDecl& dev, DeviceInfo& info) {
 void Sema::check_registers(const DeviceDecl& dev, DeviceInfo& info) {
   for (const auto& r : dev.registers) {
     if (info.registers.count(r.name)) {
-      diags_.error("DVL110", r.loc, fmt("duplicate register ", r.name, ""));
+      error("DVL110", r.loc, "duplicate register '", r.name, "'");
       continue;
     }
 
@@ -137,44 +156,40 @@ void Sema::check_registers(const DeviceDecl& dev, DeviceInfo& info) {
     ri.access = r.access();
 
     if (r.size_bits <= 0 || r.size_bits > 64) {
-      diags_.error("DVL111", r.loc,
-                   fmt("register ", r.name, " has invalid size"));
-      // Still record it with a clamped size so later checks can proceed.
+      error("DVL111", r.loc, "register '", r.name, "' has invalid size");
+      // The register is still recorded at its declared size, so the later
+      // checks run on it. Their per-bit loops (DVL123, DVL221, DVL231) walk
+      // the whole declared width, up to the parser's 65,536-bit limit.
     }
 
     bool has_read = false, has_write = false;
     for (const auto& b : r.bindings) {
       auto pit = info.ports.find(b.port.base);
       if (pit == info.ports.end()) {
-        diags_.error("DVL112", b.port.loc,
-                     fmt("register ", r.name, "") + " refers to unknown port '" +
-                         b.port.base + "'");
+        error("DVL112", b.port.loc, "register '", r.name,
+              "' refers to unknown port '", b.port.base, "'");
         continue;
       }
       const PortParam& pp = *pit->second;
       if (!pp.allows(b.port.offset)) {
-        std::ostringstream os;
-        os << "offset " << b.port.offset << " of port '" << pp.name
-           << "' is outside its declared offset set";
-        diags_.error("DVL113", b.port.loc, os.str());
+        error("DVL113", b.port.loc, "offset ", b.port.offset, " of port '",
+              pp.name, "' is outside its declared offset set");
       }
       if (r.size_bits != pp.width_bits) {
-        std::ostringstream os;
-        os << "register '" << r.name << "' is bit[" << r.size_bits
-           << "] but port '" << pp.name << "' is bit[" << pp.width_bits << "]";
-        diags_.error("DVL115", r.loc, os.str());
+        error("DVL115", r.loc, "register '", r.name, "' is bit[", r.size_bits,
+              "] but port '", pp.name, "' is bit[", pp.width_bits, "]");
       }
       if (can_read(b.access)) {
         if (has_read) {
-          diags_.error("DVL116", b.port.loc,
-                       fmt("register ", r.name, " has two read bindings"));
+          error("DVL116", b.port.loc, "register '", r.name,
+                "' has two read bindings");
         }
         has_read = true;
       }
       if (can_write(b.access)) {
         if (has_write) {
-          diags_.error("DVL117", b.port.loc,
-                       fmt("register ", r.name, " has two write bindings"));
+          error("DVL117", b.port.loc, "register '", r.name,
+                "' has two write bindings");
         }
         has_write = true;
       }
@@ -182,11 +197,9 @@ void Sema::check_registers(const DeviceDecl& dev, DeviceInfo& info) {
 
     if (!r.mask.empty() &&
         static_cast<int>(r.mask.pattern.size()) != r.size_bits) {
-      std::ostringstream os;
-      os << "mask of register '" << r.name << "' has "
-         << r.mask.pattern.size() << " bits but the register is bit["
-         << r.size_bits << "]";
-      diags_.error("DVL114", r.mask.loc, os.str());
+      error("DVL114", r.mask.loc, "mask of register '", r.name, "' has ",
+            r.mask.pattern.size(), " bits but the register is bit[",
+            r.size_bits, "]");
     }
     ri.mask = r.mask.empty() ? std::string(static_cast<size_t>(
                                                std::max(r.size_bits, 1)),
@@ -203,7 +216,7 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
 
   for (const auto& v : dev.variables) {
     if (info.variables.count(v.name)) {
-      diags_.error("DVL120", v.loc, fmt("duplicate variable ", v.name, ""));
+      error("DVL120", v.loc, "duplicate variable '", v.name, "'");
       continue;
     }
 
@@ -216,9 +229,8 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
     for (const auto& f : v.fragments) {
       auto rit = info.registers.find(f.reg);
       if (rit == info.registers.end()) {
-        diags_.error("DVL121", f.loc,
-                     fmt("variable ", v.name, "") + " refers to unknown register '" +
-                         f.reg + "'");
+        error("DVL121", f.loc, "variable '", v.name,
+              "' refers to unknown register '", f.reg, "'");
         continue;
       }
       const RegInfo& ri = rit->second;
@@ -226,19 +238,15 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
       int msb = f.has_range ? f.msb : size - 1;
       int lsb = f.has_range ? f.lsb : 0;
       if (msb < lsb || lsb < 0 || msb >= size) {
-        std::ostringstream os;
-        os << "bit range [" << f.msb << ".." << f.lsb << "] of register '"
-           << f.reg << "' is outside bit[" << size << "]";
-        diags_.error("DVL122", f.loc, os.str());
+        error("DVL122", f.loc, "bit range [", f.msb, "..", f.lsb,
+              "] of register '", f.reg, "' is outside bit[", size, "]");
         continue;
       }
       for (int b = lsb; b <= msb; ++b) {
         if (ri.mask_bit(b) != '.') {
-          std::ostringstream os;
-          os << "variable '" << v.name << "' uses bit " << b << " of register '"
-             << f.reg << "', which the mask marks irrelevant ('"
-             << ri.mask_bit(b) << "')";
-          diags_.error("DVL123", f.loc, os.str());
+          error("DVL123", f.loc, "variable '", v.name, "' uses bit ", b,
+                " of register '", f.reg, "', which the mask marks irrelevant ('",
+                ri.mask_bit(b), "')");
         }
       }
       total_width += msb - lsb + 1;
@@ -247,9 +255,8 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
     }
     vi.width_bits = total_width;
     if (!readable && !writable) {
-      diags_.error("DVL124", v.loc,
-                   fmt("variable ", v.name,
-                       " is neither readable nor writable through its registers"));
+      error("DVL124", v.loc, "variable '", v.name,
+            "' is neither readable nor writable through its registers");
     }
     vi.access = readable ? (writable ? Access::kReadWrite : Access::kRead)
                          : Access::kWrite;
@@ -259,70 +266,59 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
     int ty_width = type_width_bits(ty);
     if ((ty.kind == TypeKind::kInt || ty.kind == TypeKind::kSignedInt) &&
         (ty.width_bits <= 0 || ty.width_bits > 64)) {
-      diags_.error("DVL137", ty.loc,
-                   fmt("variable ", v.name, " has an invalid integer width"));
+      error("DVL137", ty.loc, "variable '", v.name,
+            "' has an invalid integer width");
     }
     if (ty.kind == TypeKind::kIntSet) {
       std::set<uint64_t> seen;
       for (uint64_t val : ty.set_values) {
         if (!seen.insert(val).second) {
-          std::ostringstream os;
-          os << "duplicate element " << val << " in integer-set type of '"
-             << v.name << "'";
-          diags_.error("DVL135", ty.loc, os.str());
+          error("DVL135", ty.loc, "duplicate element ", val,
+                " in integer-set type of '", v.name, "'");
         }
       }
       if (ty.set_values.empty()) {
-        diags_.error("DVL136", ty.loc,
-                     fmt("integer-set type of ", v.name, " is empty"));
+        error("DVL136", ty.loc, "integer-set type of '", v.name, "' is empty");
       }
     }
     if (ty.kind == TypeKind::kEnum) {
       std::set<std::string> read_pats, write_pats;
       for (const auto& item : ty.items) {
         if (!enum_names.insert(item.name).second) {
-          diags_.error("DVL133", item.loc,
-                       fmt("symbolic name ", item.name,
-                           " is already defined in this specification"));
+          error("DVL133", item.loc, "symbolic name '", item.name,
+                "' is already defined in this specification");
         }
         for (char c : item.pattern) {
           if (c != '0' && c != '1') {
-            diags_.error("DVL132", item.loc,
-                         fmt("bit pattern of ", item.name,
-                             " may contain only '0' and '1'"));
+            error("DVL132", item.loc, "bit pattern of '", item.name,
+                  "' may contain only '0' and '1'");
             break;
           }
         }
         if (static_cast<int>(item.pattern.size()) != ty_width) {
-          std::ostringstream os;
-          os << "bit pattern of '" << item.name << "' has "
-             << item.pattern.size() << " bits; other patterns in the type have "
-             << ty_width;
-          diags_.error("DVL131", item.loc, os.str());
+          error("DVL131", item.loc, "bit pattern of '", item.name, "' has ",
+                item.pattern.size(), " bits; other patterns in the type have ",
+                ty_width);
         }
         bool rd = item.dir != MappingDir::kWrite;
         bool wr = item.dir != MappingDir::kRead;
         if (rd && !read_pats.insert(item.pattern).second) {
-          diags_.error("DVL134", item.loc,
-                       fmt("bit pattern of ", item.name,
-                           " duplicates another read mapping"));
+          error("DVL134", item.loc, "bit pattern of '", item.name,
+                "' duplicates another read mapping");
         }
         if (wr && !write_pats.insert(item.pattern).second) {
-          diags_.error("DVL139", item.loc,
-                       fmt("bit pattern of ", item.name,
-                           " duplicates another write mapping"));
+          error("DVL139", item.loc, "bit pattern of '", item.name,
+                "' duplicates another write mapping");
         }
         // A mapping direction must be compatible with the variable access
         // ("a type for reading ... must be used with a readable variable").
         if (rd && !can_read(vi.access)) {
-          diags_.error("DVL200", item.loc,
-                       fmt("read mapping ", item.name,
-                           " on a variable that is not readable"));
+          error("DVL200", item.loc, "read mapping '", item.name,
+                "' on a variable that is not readable");
         }
         if (wr && !can_write(vi.access)) {
-          diags_.error("DVL201", item.loc,
-                       fmt("write mapping ", item.name,
-                           " on a variable that is not writable"));
+          error("DVL201", item.loc, "write mapping '", item.name,
+                "' on a variable that is not writable");
         }
       }
       // Exhaustiveness: when the variable is readable, every possible bit
@@ -332,35 +328,29 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
           ty_width <= 16) {
         uint64_t want = 1ULL << ty_width;
         if (read_pats.size() != want) {
-          std::ostringstream os;
-          os << "read mappings of variable '" << v.name << "' cover "
-             << read_pats.size() << " of " << want << " possible patterns";
-          diags_.error("DVL210", ty.loc, os.str());
+          error("DVL210", ty.loc, "read mappings of variable '", v.name,
+                "' cover ", read_pats.size(), " of ", want,
+                " possible patterns");
         }
       }
       // A write-only or read-write enum must have at least one write item to
       // be usable for writing; require it only when the variable cannot be
       // read at all (otherwise a read-only view is legitimate).
       if (!can_read(vi.access) && write_pats.empty()) {
-        diags_.error("DVL202", ty.loc,
-                     fmt("variable ", v.name,
-                         " is write-only but its type has no write mappings"));
+        error("DVL202", ty.loc, "variable '", v.name,
+              "' is write-only but its type has no write mappings");
       }
     }
 
     if (total_width != ty_width) {
-      std::ostringstream os;
-      os << "variable '" << v.name << "' concatenates " << total_width
-         << " register bits but its type needs " << ty_width;
-      diags_.error("DVL130", v.loc, os.str());
+      error("DVL130", v.loc, "variable '", v.name, "' concatenates ",
+            total_width, " register bits but its type needs ", ty_width);
     }
     if (ty.kind == TypeKind::kIntSet && total_width > 0 && total_width <= 63) {
       for (uint64_t val : ty.set_values) {
         if (val >= (1ULL << total_width)) {
-          std::ostringstream os;
-          os << "set element " << val << " of variable '" << v.name
-             << "' does not fit in " << total_width << " bits";
-          diags_.error("DVL138", ty.loc, os.str());
+          error("DVL138", ty.loc, "set element ", val, " of variable '",
+                v.name, "' does not fit in ", total_width, " bits");
         }
       }
     }
@@ -374,24 +364,22 @@ void Sema::check_pre_actions(const DeviceDecl& dev, DeviceInfo& info) {
     for (const auto& pa : r.pre_actions) {
       auto vit = info.variables.find(pa.var);
       if (vit == info.variables.end()) {
-        diags_.error("DVL150", pa.loc,
-                     fmt("pre-action assigns unknown variable ", pa.var, ""));
+        error("DVL150", pa.loc, "pre-action assigns unknown variable '",
+              pa.var, "'");
         continue;
       }
       const VarInfo& vi = vit->second;
       if (!can_write(vi.access)) {
-        diags_.error("DVL151", pa.loc,
-                     fmt("pre-action assigns read-only variable ", pa.var, ""));
+        error("DVL151", pa.loc, "pre-action assigns read-only variable '",
+              pa.var, "'");
       }
       // Value must be representable in the variable's type.
       const TypeExpr& ty = vi.decl->type;
       bool in_range = true;
       switch (ty.kind) {
         case TypeKind::kInt:
-        case TypeKind::kBool:
-          in_range = vi.width_bits >= 64 || pa.value < (1ULL << vi.width_bits);
-          break;
         case TypeKind::kSignedInt:
+        case TypeKind::kBool:
           in_range = vi.width_bits >= 64 || pa.value < (1ULL << vi.width_bits);
           break;
         case TypeKind::kIntSet:
@@ -411,10 +399,8 @@ void Sema::check_pre_actions(const DeviceDecl& dev, DeviceInfo& info) {
           break;
       }
       if (!in_range) {
-        std::ostringstream os;
-        os << "pre-action value " << pa.value
-           << " is outside the type of variable '" << pa.var << "'";
-        diags_.error("DVL152", pa.loc, os.str());
+        error("DVL152", pa.loc, "pre-action value ", pa.value,
+              " is outside the type of variable '", pa.var, "'");
       }
     }
   }
@@ -484,13 +470,11 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info,
         if (uses[i].read != uses[j].read) continue;  // read vs write is fine
         if (pre_actions_disjoint(*uses[i].reg, *uses[j].reg)) continue;
         if (masks_disjoint(*uses[i].reg, *uses[j].reg)) continue;
-        std::ostringstream os;
-        os << "registers '" << uses[i].reg->name << "' and '"
-           << uses[j].reg->name << "' both use port '" << *uses[lo].port
-           << "' @ " << uses[lo].offset << " for "
-           << (uses[i].read ? "reading" : "writing")
-           << " without disjoint pre-actions or masks";
-        diags_.error("DVL220", uses[j].reg->loc, os.str());
+        error("DVL220", uses[j].reg->loc, "registers '", uses[i].reg->name,
+              "' and '", uses[j].reg->name, "' both use port '",
+              *uses[lo].port, "' @ ", uses[lo].offset, " for ",
+              uses[i].read ? "reading" : "writing",
+              " without disjoint pre-actions or masks");
       }
     }
   }
@@ -538,11 +522,8 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info,
               continue;
             }
             ++r.made;
-            std::ostringstream os;
-            os << "bit " << b << " of register '" << f.reg
-               << "' is used by both '" << *c.owner << "' and '" << v.name
-               << "'";
-            diags_.error("DVL221", f.loc, os.str());
+            error("DVL221", f.loc, "bit ", b, " of register '", f.reg,
+                  "' is used by both '", *c.owner, "' and '", v.name, "'");
           }
         }
       }
@@ -551,11 +532,10 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info,
   }
   for (size_t reg = 0; reg < reports.size(); ++reg) {
     if (reports[reg].dropped == 0) continue;
-    std::ostringstream os;
-    os << reports[reg].dropped << " more bit claim(s) of register '"
-       << dev.registers[reg].name << "' overlap an earlier variable's ("
-       << "reports stop after " << kMaxOverlapReports << " per register)";
-    diags_.error("DVL221", reports[reg].dropped_at, os.str());
+    error("DVL221", reports[reg].dropped_at, reports[reg].dropped,
+          " more bit claim(s) of register '", dev.registers[reg].name,
+          "' overlap an earlier variable's (reports stop after ",
+          kMaxOverlapReports, " per register)");
   }
 }
 
@@ -576,16 +556,14 @@ void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info,
     const RegInfo& ri = info.registers.at(r.name);
     const size_t reg = claimed.slot(dev, ri);
     if (!used_regs[reg]) {
-      diags_.error("DVL230", r.loc,
-                   fmt("register ", r.name, " is not used by any variable"));
+      error("DVL230", r.loc, "register '", r.name,
+            "' is not used by any variable");
       continue;
     }
     for (int b = 0; b < r.size_bits; ++b) {
       if (ri.mask_bit(b) == '.' && !claimed.test(reg, b)) {
-        std::ostringstream os;
-        os << "relevant bit " << b << " of register '" << r.name
-           << "' is not covered by any variable";
-        diags_.error("DVL231", r.loc, os.str());
+        error("DVL231", r.loc, "relevant bit ", b, " of register '", r.name,
+              "' is not covered by any variable");
       }
     }
   }
@@ -604,17 +582,14 @@ void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info,
       }
     }
     if (!used) {
-      diags_.error("DVL232", p.loc,
-                   fmt("port parameter ", p.name, " is never used"));
+      error("DVL232", p.loc, "port parameter '", p.name, "' is never used");
       continue;
     }
     std::sort(used_offsets.begin(), used_offsets.end());
     for (uint64_t off : p.offsets) {
       if (!std::binary_search(used_offsets.begin(), used_offsets.end(), off)) {
-        std::ostringstream os;
-        os << "offset " << off << " of port '" << p.name
-           << "' is declared but never used";
-        diags_.error("DVL233", p.loc, os.str());
+        error("DVL233", p.loc, "offset ", off, " of port '", p.name,
+              "' is declared but never used");
       }
     }
   }

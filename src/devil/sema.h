@@ -57,14 +57,32 @@ struct DeviceInfo {
 /// Width in bits needed by a Devil type (enum width = pattern length).
 [[nodiscard]] int type_width_bits(const TypeExpr& ty);
 
+/// How much of a rejected specification `Sema` reports.
+enum class CheckMode {
+  kFull,        // every diagnostic of every check
+  kFirstError,  // only the first error: the checks stop there
+};
+
 class Sema {
  public:
-  explicit Sema(support::DiagnosticEngine& diags) : diags_(diags) {}
+  explicit Sema(support::DiagnosticEngine& diags,
+                CheckMode mode = CheckMode::kFull)
+      : diags_(diags), mode_(mode) {}
 
   /// Runs all checks. Returns the resolved model if there were no errors.
+  /// The checks run in the same order in either mode, so the first error,
+  /// and with it the verdict, are the same.
   [[nodiscard]] std::optional<DeviceInfo> check(const Specification& spec);
 
  private:
+  struct FirstError {};  // thrown by `error`, caught by `check`
+
+  /// Reports error `code` at `loc`, its message `parts` concatenated
+  /// (strings and chars verbatim, integers in decimal). In first-error mode
+  /// it then throws FirstError.
+  template <typename... Parts>
+  void error(const char* code, support::SourceLoc loc, const Parts&... parts);
+
   void check_ports(const DeviceDecl& dev, DeviceInfo& info);
   void check_registers(const DeviceDecl& dev, DeviceInfo& info);
   void check_variables(const DeviceDecl& dev, DeviceInfo& info);
@@ -76,6 +94,7 @@ class Sema {
                          const ClaimedBits& claimed);
 
   support::DiagnosticEngine& diags_;
+  CheckMode mode_;
 };
 
 }  // namespace devil

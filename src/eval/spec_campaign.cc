@@ -134,9 +134,10 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
 
   // One pass: each worker splices its mutant, relexes only the window
   // around the edit (the rest of its tokens are the unmutated spec's), keys
-  // it on the tokens and hands the same tokens to the parser and sema.
-  // Workers write only their own index; everything order-sensitive runs
-  // after the join, so any thread count yields the identical row.
+  // it on the tokens and hands the same tokens to the parser and sema,
+  // which stops at the first error: only the verdict is read. Workers
+  // write only their own index; everything order-sensitive runs after the
+  // join, so any thread count yields the identical row.
   std::vector<std::string> keys(config.dedup ? mutants.size() : 0);
   std::vector<uint8_t> detected(mutants.size(), 0);
   support::parallel_for(mutants.size(), config.threads, [&](size_t i) {
@@ -154,7 +155,8 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
                     ? text_diff_key(spec.text, buf.text())
                     : token_diff_key(base_tokens, tokens, window);
     }
-    devil::check_tokens(std::move(tokens), result);
+    devil::check_tokens(std::move(tokens), result,
+                        devil::CheckMode::kFirstError);
     detected[i] = result.ok() ? 0 : 1;
   });
 

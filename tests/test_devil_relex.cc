@@ -7,20 +7,22 @@
 // lines, comments, quotes and partial operators.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "devil_edits.h"
 #include "mutation/devil_mutator.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 
 namespace {
+
+using devil_edits::Base;
+using devil_edits::RandomEdit;
 
 std::string describe(const devil::Token& t) {
   auto loc = [](const support::SourceLoc& l) {
@@ -52,20 +54,6 @@ std::string stream_diff(const std::vector<devil::Token>& want,
   return "";
 }
 
-/// A clean spec's buffer and the tokens that view it.
-struct Base {
-  explicit Base(const corpus::SpecEntry& spec) : buf(spec.file, spec.text) {
-    devil::CompileResult result;
-    tokens = devil::lex_spec(buf, result);
-    EXPECT_FALSE(result.diags.has_errors()) << result.diags.render();
-  }
-  Base(const Base&) = delete;
-  Base& operator=(const Base&) = delete;
-
-  const support::SourceBuffer buf;
-  std::vector<devil::Token> tokens;
-};
-
 /// The tokens of `buf`, the base text after `edit`, from `relex_spec` into
 /// `result`. `mismatch` gets the first difference from a full `lex_spec` of
 /// `buf`, in the tokens or the rendered diagnostics, and is left empty when
@@ -92,11 +80,7 @@ TEST(DevilRelex, EverySpecMutantMatchesAFullLex) {
     const Base base(spec);
     const auto clean = devil::check_spec(spec.file, spec.text);
     ASSERT_TRUE(clean.ok()) << clean.diags.render();
-    mutation::DevilNames names;
-    const devil::DeviceDecl& decl = *clean.info->decl;
-    for (const auto& p : decl.params) names.ports.push_back(p.name);
-    for (const auto& r : decl.registers) names.registers.push_back(r.name);
-    for (const auto& v : decl.variables) names.variables.push_back(v.name);
+    const auto names = devil_edits::names_from(*clean.info);
     const auto sites = mutation::scan_devil_sites(spec.text, names);
     const auto mutants = mutation::generate_devil_mutants(sites, names);
     std::vector<std::string> diffs(mutants.size());
@@ -117,75 +101,20 @@ TEST(DevilRelex, EverySpecMutantMatchesAFullLex) {
   EXPECT_EQ(checked, 16604u);
 }
 
-/// Byte fragments the random edits are built from: everything that starts,
-/// ends or extends a token or a comment, plus line breaks.
-constexpr const char* kFragments[] = {
-    "\n", "'", "/*", "*/", "//", ".", "<", "=", ">", "0", "1",
-    "7", "9", "0x", "a", "f", "x", "_", "Z", " ", ",", "{",
-};
-
-/// One random edit of a base text: the position, and the bytes that
-/// replace `edit.old_len` bytes there.
-struct RandomEdit {
-  devil::TextEdit edit;
-  std::string bytes;
-};
-
-/// An edit offset: the start, the end, a token boundary (give or take a
-/// byte) or anywhere.
-size_t random_offset(support::SplitMix64& rng, const Base& base) {
-  const size_t size = base.buf.text().size();
-  switch (rng.next_below(5)) {
-    case 0: return 0;
-    case 1: return size;
-    case 2:
-    case 3: {
-      const devil::Token& t = base.tokens[rng.next_below(base.tokens.size())];
-      const size_t at =
-          rng.chance(1, 2) ? t.range.begin.offset : t.range.end.offset;
-      const size_t nudged = at + rng.next_below(3);
-      return nudged == 0 ? 0 : std::min(nudged - 1, size);
-    }
-    default: return rng.next_below(size + 1);
-  }
-}
-
-/// Inserts, deletes or replaces 0 to 8 bytes.
-RandomEdit random_edit(support::SplitMix64& rng, const Base& base) {
-  RandomEdit out;
-  devil::TextEdit& edit = out.edit;
-  edit.offset = random_offset(rng, base);
-  const size_t room = base.buf.text().size() - edit.offset;
-  const uint64_t op = rng.next_below(3);  // insert, delete, replace
-  if (op != 0) edit.old_len = std::min<size_t>(rng.next_below(9), room);
-  if (op != 1) edit.new_len = rng.next_below(9);
-  while (out.bytes.size() < edit.new_len) {
-    out.bytes += kFragments[rng.next_below(std::size(kFragments))];
-  }
-  out.bytes.resize(edit.new_len);
-  return out;
-}
-
 TEST(DevilRelex, RandomEditsMatchAFullLexAndNeverCrashTheChecker) {
-  constexpr size_t kEditsPerSpec = 2048;  // 10,240 edits over the 5 specs
-  support::SplitMix64 rng(0x5eed'de71);
+  support::SplitMix64 rng(devil_edits::kSeed);
   size_t rejected = 0;
   for (const corpus::SpecEntry& spec : corpus::all_specs()) {
     const Base base(spec);
-    std::vector<RandomEdit> edits;
-    for (size_t n = 0; n < kEditsPerSpec; ++n) {
-      edits.push_back(random_edit(rng, base));
-    }
+    const std::vector<RandomEdit> edits = devil_edits::random_edits(rng, base);
     std::vector<std::string> diffs(edits.size());
     // 1: accepted, 0: rejected with a diagnostic, 2: neither.
     std::vector<uint8_t> verdicts(edits.size());
     support::parallel_for(edits.size(), 0, [&](size_t i) {
-      const devil::TextEdit& edit = edits[i].edit;
-      std::string text = spec.text;
-      text.replace(edit.offset, edit.old_len, edits[i].bytes);
-      const support::SourceBuffer buf(spec.file, std::move(text));
+      const support::SourceBuffer buf(spec.file, edits[i].apply(spec.text));
       devil::CompileResult result;
-      auto tokens = relex_and_compare(buf, base, edit, result, diffs[i]);
+      auto tokens =
+          relex_and_compare(buf, base, edits[i].edit, result, diffs[i]);
       // Untrusted text: a diagnostic or a clean compile, never a crash.
       // check_spec is lex_spec then check_tokens, and the tokens are equal.
       devil::check_tokens(std::move(tokens), result);
@@ -202,7 +131,7 @@ TEST(DevilRelex, RandomEditsMatchAFullLexAndNeverCrashTheChecker) {
   }
   // Most random edits break the spec; some (whitespace, a comment) do not.
   EXPECT_GT(rejected, 0u);
-  EXPECT_LT(rejected, kEditsPerSpec * corpus::all_specs().size());
+  EXPECT_LT(rejected, devil_edits::kEditsPerSpec * corpus::all_specs().size());
 }
 
 }  // namespace

@@ -364,4 +364,53 @@ TEST(DevilSema, DescribeDeviceListsEntities) {
   EXPECT_NE(text.find("variable v"), std::string::npos);
 }
 
+// ---- first-error mode --------------------------------------------------------------------
+
+/// `check` in devil::CheckMode::kFirstError, as the Table 2 campaign runs it.
+devil::CompileResult check_first_error(const std::string& spec) {
+  devil::CompileResult result;
+  const support::SourceBuffer buf("test.dil", spec);
+  devil::check_tokens(devil::lex_spec(buf, result), result,
+                      devil::CheckMode::kFirstError);
+  return result;
+}
+
+TEST(DevilSema, FirstErrorModeStopsAFloodAtItsFirstDiagnostic) {
+  // The full check reports one error per unused port offset or uncovered
+  // register bit in each: 65,535 DVL233 or DVL231 reports.
+  struct Hostile {
+    const char* spec;
+    const char* first_code;
+  };
+  const Hostile hostile[] = {
+      {"device d (p : bit[8] port @ {0..65535}) {\n"
+       "  register r = p @ 0 : bit[8];\n"
+       "  variable v = r : int(8);\n"
+       "}\n",
+       "DVL233"},
+      {"device d (p : bit[8] port @ {0}) {\n"
+       "  register r = p @ 0, mask '1' : bit[65536];\n"
+       "  variable v = r[0] : int(1);\n"
+       "}\n",
+       "DVL111"},
+      {"device d (p : bit[8] port @ {0}) {\n"
+       "  register r = p @ 0 : bit[65536];\n"
+       "  variable v = r[0] : int(1);\n"
+       "}\n",
+       "DVL111"},
+  };
+  for (const Hostile& h : hostile) {
+    const auto full = check(h.spec);
+    EXPECT_FALSE(full.ok()) << h.spec;
+    ASSERT_GE(full.diags.all().size(), 65535u) << h.spec;
+    EXPECT_EQ(full.diags.all().front().code, h.first_code) << h.spec;
+
+    const auto first = check_first_error(h.spec);
+    EXPECT_FALSE(first.ok()) << h.spec;
+    ASSERT_EQ(first.diags.all().size(), 1u) << first.diags.render();
+    EXPECT_EQ(first.diags.all().front().to_string(),
+              full.diags.all().front().to_string());
+  }
+}
+
 }  // namespace

@@ -5,7 +5,9 @@
 // reworked for speed, so any change to a DVL code, a location, a message or
 // their order in any mutant shows up here. The same test pins the campaign
 // rows (sites, mutants, detected, deduped, survivor samples) at 1 and 4
-// threads.
+// threads. The campaign checks in first-error mode; the DevilFirstError
+// tests hold that mode to the full check on every mutant and on seeded
+// random edits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,9 +17,11 @@
 
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "devil_edits.h"
 #include "eval/spec_campaign.h"
 #include "mutation/devil_mutator.h"
 #include "support/parallel.h"
+#include "support/rng.h"
 #include "support/strings.h"
 
 namespace {
@@ -107,21 +111,13 @@ const std::vector<GoldenSpec>& golden() {
   return g;
 }
 
-mutation::DevilNames names_from(const devil::DeviceInfo& info) {
-  mutation::DevilNames names;
-  for (const auto& p : info.decl->params) names.ports.push_back(p.name);
-  for (const auto& r : info.decl->registers) names.registers.push_back(r.name);
-  for (const auto& v : info.decl->variables) names.variables.push_back(v.name);
-  return names;
-}
-
 /// Checks every mutant of `spec` over all cores and folds the per-mutant
 /// hashes in mutant order.
 std::string diagnostics_digest(const corpus::SpecEntry& spec) {
   const auto baseline = devil::check_spec(spec.file, spec.text);
   EXPECT_TRUE(baseline.ok()) << baseline.diags.render();
   if (!baseline.ok()) return "";
-  const mutation::DevilNames names = names_from(*baseline.info);
+  const mutation::DevilNames names = devil_edits::names_from(*baseline.info);
   const auto sites = mutation::scan_devil_sites(spec.text, names);
   const auto mutants = mutation::generate_devil_mutants(sites, names);
   std::vector<std::pair<uint64_t, uint64_t>> hashes(mutants.size());
@@ -162,6 +158,96 @@ TEST(SpecGolden, CampaignRowsPinnedAtOneAndFourThreads) {
       EXPECT_EQ(rows[s].undetected_samples, g.survivors) << label;
     }
   }
+}
+
+/// Empty when `devil::CheckMode::kFirstError` agrees with `check_spec` on
+/// `buf`: the same verdict and, for a rejected text, exactly one diagnostic
+/// that renders as the full check's first. Lexing has no first-error mode,
+/// so a text that does not lex keeps all of the lexer's diagnostics in both.
+/// `accepted` gets the full check's verdict.
+std::string first_error_mismatch(const support::SourceBuffer& buf,
+                                 bool& accepted) {
+  const auto full = devil::check_spec(buf.name(), std::string(buf.text()));
+  accepted = full.ok();
+  devil::CompileResult first;
+  auto tokens = devil::lex_spec(buf, first);
+  const bool lexed = !first.diags.has_errors();
+  devil::check_tokens(std::move(tokens), first,
+                      devil::CheckMode::kFirstError);
+  if (first.ok() != full.ok()) {
+    return std::string("full check ") + (full.ok() ? "accepts" : "rejects") +
+           ", first-error mode does not:\n" + full.diags.render() + "vs\n" +
+           first.diags.render();
+  }
+  if (full.ok() || !lexed) {
+    if (first.diags.render() == full.diags.render()) return "";
+    return "diagnostics differ:\n" + full.diags.render() + "vs\n" +
+           first.diags.render();
+  }
+  const auto& got = first.diags.all();
+  if (got.size() == 1 &&
+      got.front().to_string() == full.diags.all().front().to_string()) {
+    return "";
+  }
+  return "first-error mode reported\n" + first.diags.render() +
+         "for a full check starting\n" + full.diags.all().front().to_string();
+}
+
+TEST(DevilFirstError, EverySpecMutantKeepsItsVerdictAndFirstDiagnostic) {
+  size_t checked = 0, rejected = 0;
+  for (const corpus::SpecEntry& spec : corpus::all_specs()) {
+    const auto baseline = devil::check_spec(spec.file, spec.text);
+    ASSERT_TRUE(baseline.ok()) << baseline.diags.render();
+    const auto names = devil_edits::names_from(*baseline.info);
+    const auto sites = mutation::scan_devil_sites(spec.text, names);
+    const auto mutants = mutation::generate_devil_mutants(sites, names);
+    std::vector<std::string> diffs(mutants.size());
+    std::vector<uint8_t> accepted(mutants.size());
+    support::parallel_for(mutants.size(), 0, [&](size_t i) {
+      bool ok = false;
+      diffs[i] = first_error_mismatch(
+          support::SourceBuffer(spec.file, mutation::apply_mutant(
+                                               spec.text, sites, mutants[i])),
+          ok);
+      accepted[i] = ok;
+    });
+    for (size_t i = 0; i < mutants.size(); ++i) {
+      EXPECT_EQ(diffs[i], "") << spec.name << " mutant " << i;
+      rejected += accepted[i] ? 0 : 1;
+    }
+    checked += mutants.size();
+  }
+  EXPECT_EQ(checked, 16604u);
+  EXPECT_EQ(rejected, 15876u);  // the detected column of Table 2
+}
+
+TEST(DevilFirstError, RandomEditsKeepTheirVerdictAndFirstDiagnostic) {
+  support::SplitMix64 rng(devil_edits::kSeed);
+  size_t checked = 0, rejected = 0;
+  for (const corpus::SpecEntry& spec : corpus::all_specs()) {
+    const devil_edits::Base base(spec);
+    const auto edits = devil_edits::random_edits(rng, base);
+    std::vector<std::string> diffs(edits.size());
+    std::vector<uint8_t> accepted(edits.size());
+    support::parallel_for(edits.size(), 0, [&](size_t i) {
+      bool ok = false;
+      diffs[i] = first_error_mismatch(
+          support::SourceBuffer(spec.file, edits[i].apply(spec.text)), ok);
+      accepted[i] = ok;
+    });
+    for (size_t i = 0; i < edits.size(); ++i) {
+      const devil::TextEdit& edit = edits[i].edit;
+      EXPECT_EQ(diffs[i], "")
+          << spec.name << " edit " << i << " at " << edit.offset << ": -"
+          << edit.old_len << " +'" << edits[i].bytes << "'";
+      rejected += accepted[i] ? 0 : 1;
+    }
+    checked += edits.size();
+  }
+  EXPECT_EQ(checked, 10240u);
+  // Most random edits break the spec; some (whitespace, a comment) do not.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, checked);
 }
 
 }  // namespace
