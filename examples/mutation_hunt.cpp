@@ -42,6 +42,7 @@
 #include "corpus/drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "eval/campaign_kinds.h"
 #include "eval/campaign_spec.h"
 #include "eval/device_bindings.h"
 #include "eval/driver_campaign.h"
@@ -100,12 +101,16 @@ std::string replace_once(std::string text, const std::string& from,
   return text;
 }
 
-/// Stamps the process section and writes the metrics artifact; maps write
-/// failures to exit code 2 (like shard artifacts — same atomic write path).
+/// This process's timings: the live collector plus the wall time so far.
+eval::ProcessMetrics process_metrics(unsigned threads) {
+  return eval::capture_process_metrics(threads,
+                                       support::monotonic_ns() - g_start_ns);
+}
+
+/// Writes a metrics artifact; maps write failures to exit code 2 (like
+/// shard artifacts — same atomic write path).
 int write_metrics_artifact(const std::string& path,
-                           eval::MetricsArtifact artifact, unsigned threads) {
-  artifact.process = eval::capture_process_metrics(
-      threads, support::monotonic_ns() - g_start_ns);
+                           const eval::MetricsArtifact& artifact) {
   try {
     eval::save_metrics_artifact(path, artifact);
   } catch (const eval::ArtifactWriteError& e) {
@@ -116,47 +121,23 @@ int write_metrics_artifact(const std::string& path,
   return 0;
 }
 
-/// Runs one device's full C vs CDevil driver campaigns from the spec and
-/// prints the paper's Tables 3/4 plus the headline comparison. With
-/// `assert_counters` (the CI Release smoke) the exit code additionally
-/// verifies that the throughput machinery actually engaged: canonical
-/// dedup skipped at least one mutant and the compiled-prefix cache served
-/// every unique compile.
-bool run_device_campaigns(const eval::CampaignSpec& spec,
-                          const corpus::CampaignDrivers& drivers,
-                          bool assert_counters,
-                          eval::MetricsArtifact* metrics) {
-  eval::DeviceCampaignConfigs cfgs;
-  try {
-    cfgs = eval::driver_configs_for(spec, drivers);
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "%s", e.what());
-    return false;
-  }
-  auto c_res = eval::run_driver_campaign(cfgs.c);
-  auto d_res = eval::run_driver_campaign(cfgs.cdevil);
-
-  std::fputs(
-      eval::render_device_section(drivers.device, c_res, d_res).c_str(),
-      stdout);
-  if (metrics) {
-    const char* engine = minic::exec_engine_name(spec.engine);
-    metrics->campaigns.push_back(
-        eval::campaign_metrics_row(c_res, "C", engine));
-    metrics->campaigns.push_back(
-        eval::campaign_metrics_row(d_res, "CDevil", engine));
-  }
-  if (!assert_counters) return true;
+/// `--assert-counters` for driver campaigns (the CI Release smoke): the
+/// throughput machinery must have engaged — canonical dedup skipped at
+/// least one mutant and the compiled-prefix cache served every unique
+/// compile.
+bool counters_hold(const eval::CampaignSpec& spec, const char* device,
+                   const eval::DriverCampaignResult& c_res,
+                   const eval::DriverCampaignResult& d_res) {
   // The walker engine compiles whole units by design, so cache hits are
   // only expected on the bytecode VM — and the bytecode patcher only runs
   // on top of the cache.
   const bool expect_cache = spec.engine == minic::ExecEngine::kBytecodeVm;
   const bool expect_patch = expect_cache && spec.bytecode_patch;
-  auto check = [expect_cache, expect_patch, &drivers](
+  auto check = [expect_cache, expect_patch, device](
                    const char* what, const eval::DriverCampaignResult& r) {
     if (r.deduped_mutants == 0) {
       std::fprintf(stderr, "FAIL: %s %s campaign deduped 0 mutants\n",
-                   drivers.device, what);
+                   device, what);
       return false;
     }
     size_t unique = r.sampled_mutants - r.deduped_mutants;
@@ -165,7 +146,7 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
       std::fprintf(stderr,
                    "FAIL: %s %s campaign compiled %zu of %zu unique mutants "
                    "through the prefix cache\n",
-                   drivers.device, what, r.prefix_cache_hits, unique);
+                   device, what, r.prefix_cache_hits, unique);
       return false;
     }
     // Real corpora always hold both token-local mutants (patch hits) and
@@ -177,8 +158,7 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
       std::fprintf(stderr,
                    "FAIL: %s %s campaign patched %zu / fell back %zu over "
                    "%zu unique mutants\n",
-                   drivers.device, what, r.patch_hits, r.patch_fallbacks,
-                   unique);
+                   device, what, r.patch_hits, r.patch_fallbacks, unique);
       return false;
     }
     return true;
@@ -186,48 +166,23 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
   return check("C", c_res) & check("CDevil", d_res);
 }
 
-/// Runs one device's C vs CDevil fault campaigns and prints the paired
-/// fault tables. With `assert_counters` the exit code verifies the paper
-/// shape: the faults must actually fire, and the CDevil driver must detect
-/// strictly more injected hardware faults than its classic-C twin.
-bool run_device_fault_campaigns(const eval::CampaignSpec& spec,
-                                const corpus::CampaignDrivers& drivers,
-                                bool assert_counters,
-                                eval::MetricsArtifact* metrics) {
-  eval::DeviceFaultConfigs cfgs;
-  try {
-    cfgs = eval::fault_configs_for(spec, drivers);
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "%s", e.what());
-    return false;
-  }
-  auto c_res = eval::run_fault_campaign(cfgs.c);
-  auto d_res = eval::run_fault_campaign(cfgs.cdevil);
-
-  std::fputs(
-      eval::render_fault_section(drivers.device, c_res, d_res).c_str(),
-      stdout);
-  if (metrics) {
-    const char* engine = minic::exec_engine_name(spec.engine);
-    metrics->fault_campaigns.push_back(
-        eval::fault_metrics_row(c_res, "C", engine));
-    metrics->fault_campaigns.push_back(
-        eval::fault_metrics_row(d_res, "CDevil", engine));
-  }
-  if (!assert_counters) return true;
+/// `--assert-counters` for fault campaigns: the paper shape. The faults
+/// must actually fire, and the CDevil driver must detect strictly more
+/// injected hardware faults than its classic-C twin.
+bool counters_hold(const eval::CampaignSpec&, const char* device,
+                   const eval::FaultCampaignResult& c_res,
+                   const eval::FaultCampaignResult& d_res) {
   bool ok = true;
   if (c_res.triggered_scenarios == 0 || d_res.triggered_scenarios == 0) {
     std::fprintf(stderr, "FAIL: %s fault campaigns triggered no faults "
                  "(C %zu, CDevil %zu)\n",
-                 drivers.device, c_res.triggered_scenarios,
-                 d_res.triggered_scenarios);
+                 device, c_res.triggered_scenarios, d_res.triggered_scenarios);
     ok = false;
   }
   if (d_res.tally.detected() <= c_res.tally.detected()) {
     std::fprintf(stderr, "FAIL: %s CDevil driver detected %zu injected "
                  "faults, not strictly more than the C driver's %zu\n",
-                 drivers.device, d_res.tally.detected(),
-                 c_res.tally.detected());
+                 device, d_res.tally.detected(), c_res.tally.detected());
     ok = false;
   }
   // Event-driven corpora additionally assert the margin on the event rows
@@ -254,45 +209,60 @@ bool run_device_fault_campaigns(const eval::CampaignSpec& spec,
   if (has_event_rows && event_detected(d_res) <= event_detected(c_res)) {
     std::fprintf(stderr, "FAIL: %s CDevil driver detected %zu event faults, "
                  "not strictly more than the C driver's %zu\n",
-                 drivers.device, event_detected(d_res),
-                 event_detected(c_res));
+                 device, event_detected(d_res), event_detected(c_res));
     ok = false;
   }
   return ok;
 }
 
-/// Runs the campaigns for every corpus device the spec selects
-/// (`spec.device` "all" runs each of them — the CI smoke path).
-int run_campaigns(const eval::CampaignSpec& spec, bool assert_counters,
-                  eval::MetricsArtifact* metrics) {
-  std::printf("Running full mutation campaigns (%u thread(s), 0 = all "
-              "cores, %s engine, device %s)...\n\n",
-              spec.threads, minic::exec_engine_name(spec.engine),
-              spec.device.c_str());
-  bool ok = true;
-  for (const auto& drivers : eval::campaign_spec_corpus(spec)) {
-    ok &= run_device_campaigns(spec, drivers, assert_counters, metrics);
+/// Runs one device's C vs CDevil campaigns of kind K from the spec and
+/// prints the device's report section. With `assert_counters` the result
+/// also depends on counters_hold.
+template <class K>
+bool run_device_campaigns(const eval::CampaignSpec& spec,
+                          const corpus::CampaignDrivers& drivers,
+                          bool assert_counters,
+                          eval::MetricsArtifact* metrics) {
+  eval::DeviceConfigsOf<typename K::Config> cfgs;
+  try {
+    cfgs = K::configs_for(spec, drivers);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s", e.what());
+    return false;
   }
-  if (assert_counters) {
-    std::printf("counter assertions: %s\n", ok ? "OK" : "FAILED");
+  auto c_res = K::run(cfgs.c);
+  auto d_res = K::run(cfgs.cdevil);
+
+  std::fputs(
+      eval::render_device_section(drivers.device, c_res, d_res).c_str(),
+      stdout);
+  if (metrics) {
+    const char* engine = minic::exec_engine_name(spec.engine);
+    auto& rows = metrics->*K::kMetricsRows;
+    rows.push_back(K::metrics_row(c_res, "C", engine));
+    rows.push_back(K::metrics_row(d_res, "CDevil", engine));
   }
-  return ok ? 0 : 1;
+  return !assert_counters ||
+         counters_hold(spec, drivers.device, c_res, d_res);
 }
 
-/// `--faults`: runs the fault-injection campaigns for every selected
-/// device.
-int run_fault_campaigns(const eval::CampaignSpec& spec, bool assert_counters,
-                        eval::MetricsArtifact* metrics) {
-  std::printf("Running fault-injection campaigns (%u thread(s), 0 = all "
-              "cores, %s engine, device %s)...\n\n",
-              spec.threads, minic::exec_engine_name(spec.engine),
+/// Runs the campaigns of kind K for every corpus device the spec selects
+/// (`spec.device` "all" runs each of them — the CI smoke path). `what`
+/// names the campaigns in the banner, `assertion` the assertion summary.
+template <class K>
+int run_campaigns(const eval::CampaignSpec& spec, bool assert_counters,
+                  eval::MetricsArtifact* metrics, const char* what,
+                  const char* assertion) {
+  std::printf("Running %s campaigns (%u thread(s), 0 = all cores, %s "
+              "engine, device %s)...\n\n",
+              what, spec.threads, minic::exec_engine_name(spec.engine),
               spec.device.c_str());
   bool ok = true;
   for (const auto& drivers : eval::campaign_spec_corpus(spec)) {
-    ok &= run_device_fault_campaigns(spec, drivers, assert_counters, metrics);
+    ok &= run_device_campaigns<K>(spec, drivers, assert_counters, metrics);
   }
   if (assert_counters) {
-    std::printf("fault assertions: %s\n", ok ? "OK" : "FAILED");
+    std::printf("%s assertions: %s\n", assertion, ok ? "OK" : "FAILED");
   }
   return ok ? 0 : 1;
 }
@@ -312,6 +282,36 @@ int run_spec_campaigns(const eval::CampaignSpec& spec) {
   return 0;
 }
 
+/// Runs slice `spec` of the C and CDevil campaigns of kind K for every
+/// selected device into `bundle`; `tag` marks the kind in the progress
+/// lines. False when a device's configs cannot be derived.
+template <class K>
+bool run_shard_campaigns(const eval::CampaignSpec& campaign,
+                         eval::ShardSpec spec, const char* tag,
+                         eval::ShardBundle& bundle) {
+  auto& artifacts = bundle.*K::kBundle;
+  for (const auto& drivers : eval::campaign_spec_corpus(campaign)) {
+    eval::DeviceConfigsOf<typename K::Config> cfgs;
+    try {
+      cfgs = K::configs_for(campaign, drivers);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s", e.what());
+      return false;
+    }
+    artifacts.push_back(K::run_shard(cfgs.c, "C", spec));
+    artifacts.push_back(K::run_shard(cfgs.cdevil, "CDevil", spec));
+    const auto& c = artifacts[artifacts.size() - 2];
+    const auto& d = artifacts.back();
+    std::fprintf(stderr,
+                 "shard %s [%s%s]: C records %zu of %zu sampled, "
+                 "CDevil records %zu of %zu sampled\n",
+                 spec.to_string().c_str(), drivers.device, tag,
+                 c.records.size(), c.sample_size, d.records.size(),
+                 d.sample_size);
+  }
+  return true;
+}
+
 /// `--shard i/N --out FILE`: runs slice i/N of every selected campaign and
 /// writes one mergeable bundle (fault campaigns when the spec says so,
 /// mutation campaigns otherwise). Progress goes to stderr; stdout stays
@@ -320,55 +320,18 @@ int run_shard(const eval::CampaignSpec& campaign, eval::ShardSpec spec,
               const std::string& out_path, const std::string& metrics_path) {
   eval::ShardBundle bundle;
   bundle.shard = spec;
-  const bool faults = campaign.kind == eval::CampaignKind::kFault;
-  for (const auto& drivers : eval::campaign_spec_corpus(campaign)) {
-    if (faults) {
-      eval::DeviceFaultConfigs cfgs;
-      try {
-        cfgs = eval::fault_configs_for(campaign, drivers);
-      } catch (const std::runtime_error& e) {
-        std::fprintf(stderr, "%s", e.what());
-        return 1;
-      }
-      bundle.fault_campaigns.push_back(
-          eval::run_fault_campaign_shard(cfgs.c, "C", spec));
-      bundle.fault_campaigns.push_back(
-          eval::run_fault_campaign_shard(cfgs.cdevil, "CDevil", spec));
-      const auto& c =
-          bundle.fault_campaigns[bundle.fault_campaigns.size() - 2];
-      const auto& d = bundle.fault_campaigns.back();
-      std::fprintf(stderr,
-                   "shard %s [%s faults]: C records %zu of %zu sampled, "
-                   "CDevil records %zu of %zu sampled\n",
-                   spec.to_string().c_str(), drivers.device, c.records.size(),
-                   c.sample_size, d.records.size(), d.sample_size);
-      continue;
-    }
-    eval::DeviceCampaignConfigs cfgs;
-    try {
-      cfgs = eval::driver_configs_for(campaign, drivers);
-    } catch (const std::runtime_error& e) {
-      std::fprintf(stderr, "%s", e.what());
-      return 1;
-    }
-    bundle.campaigns.push_back(
-        eval::run_campaign_shard(cfgs.c, "C", spec));
-    bundle.campaigns.push_back(
-        eval::run_campaign_shard(cfgs.cdevil, "CDevil", spec));
-    const auto& c = bundle.campaigns[bundle.campaigns.size() - 2];
-    const auto& d = bundle.campaigns.back();
-    std::fprintf(stderr,
-                 "shard %s [%s]: C records %zu of %zu sampled, "
-                 "CDevil records %zu of %zu sampled\n",
-                 spec.to_string().c_str(), drivers.device, c.records.size(),
-                 c.sample_size, d.records.size(), d.sample_size);
-  }
+  const bool ran =
+      campaign.kind == eval::CampaignKind::kFault
+          ? run_shard_campaigns<eval::FaultTraits>(campaign, spec, " faults",
+                                                   bundle)
+          : run_shard_campaigns<eval::MutationTraits>(campaign, spec, "",
+                                                      bundle);
+  if (!ran) return 1;
   if (!metrics_path.empty()) {
     // Embed the process timings in the bundle (so --merge can aggregate
     // them across the shard fleet) ...
     bundle.has_metrics = true;
-    bundle.metrics = eval::capture_process_metrics(
-        campaign.threads, support::monotonic_ns() - g_start_ns);
+    bundle.metrics = process_metrics(campaign.threads);
   }
   eval::save_shard_bundle(out_path, bundle);
   std::fprintf(stderr, "wrote shard %s artifact to %s\n",
@@ -377,21 +340,14 @@ int run_shard(const eval::CampaignSpec& campaign, eval::ShardSpec spec,
     // ... and write this shard's own metrics artifact (deterministic rows
     // are shard-local: they cover this slice only).
     eval::MetricsArtifact artifact;
-    for (const eval::ShardArtifact& a : bundle.campaigns) {
+    for (const auto& a : bundle.campaigns) {
       artifact.campaigns.push_back(eval::shard_metrics_row(a));
     }
-    for (const eval::FaultShardArtifact& a : bundle.fault_campaigns) {
-      artifact.fault_campaigns.push_back(eval::shard_fault_metrics_row(a));
+    for (const auto& a : bundle.fault_campaigns) {
+      artifact.fault_campaigns.push_back(eval::shard_metrics_row(a));
     }
     artifact.process = bundle.metrics;
-    try {
-      eval::save_metrics_artifact(metrics_path, artifact);
-    } catch (const eval::ArtifactWriteError& e) {
-      std::fprintf(stderr, "mutation_hunt: %s\n", e.what());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote metrics artifact to %s\n",
-                 metrics_path.c_str());
+    return write_metrics_artifact(metrics_path, artifact);
   }
   return 0;
 }
@@ -426,14 +382,7 @@ int run_merge(const std::vector<std::string>& paths,
           eval::fault_metrics_row(m.result, m.label, m.engine));
     }
     eval::merge_bundle_metrics(bundles, &artifact.process);
-    try {
-      eval::save_metrics_artifact(metrics_path, artifact);
-    } catch (const eval::ArtifactWriteError& e) {
-      std::fprintf(stderr, "mutation_hunt: %s\n", e.what());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote metrics artifact to %s\n",
-                 metrics_path.c_str());
+    return write_metrics_artifact(metrics_path, artifact);
   }
   return 0;
 }
@@ -657,9 +606,11 @@ int main(int argc, char** argv) {
       }
       int rc = run_spec_campaigns(spec);
       if (!metrics_path.empty()) {
-        int metrics_rc = write_metrics_artifact(
-            metrics_path, eval::MetricsArtifact{}, spec.threads);
-        if (metrics_rc != 0) return metrics_rc;
+        eval::MetricsArtifact artifact;
+        artifact.process = process_metrics(spec.threads);
+        if (int metrics_rc = write_metrics_artifact(metrics_path, artifact)) {
+          return metrics_rc;
+        }
       }
       return rc;
     }
@@ -667,13 +618,17 @@ int main(int argc, char** argv) {
     eval::MetricsArtifact* metrics =
         metrics_path.empty() ? nullptr : &artifact;
     int rc = spec.kind == eval::CampaignKind::kFault
-                 ? run_fault_campaigns(spec, assert_counters, metrics)
-                 : run_campaigns(spec, assert_counters, metrics);
+                 ? run_campaigns<eval::FaultTraits>(
+                       spec, assert_counters, metrics, "fault-injection",
+                       "fault")
+                 : run_campaigns<eval::MutationTraits>(
+                       spec, assert_counters, metrics, "full mutation",
+                       "counter");
     if (metrics) {
-      int metrics_rc = write_metrics_artifact(metrics_path,
-                                              std::move(artifact),
-                                              spec.threads);
-      if (metrics_rc != 0) return metrics_rc;
+      artifact.process = process_metrics(spec.threads);
+      if (int metrics_rc = write_metrics_artifact(metrics_path, artifact)) {
+        return metrics_rc;
+      }
     }
     return rc;
   }

@@ -76,23 +76,24 @@ struct CampaignSpec {
 [[nodiscard]] std::vector<corpus::CampaignDrivers> campaign_spec_corpus(
     const CampaignSpec& spec);
 
-/// The C and CDevil campaign configs for one corpus device, derived from
-/// the spec — the exact configs the CLI historically built, so the config
+/// The C and CDevil campaign configs of one corpus device.
+template <class Config>
+struct DeviceConfigsOf {
+  Config c;
+  Config cdevil;
+};
+using DeviceCampaignConfigs = DeviceConfigsOf<DriverCampaignConfig>;
+using DeviceFaultConfigs = DeviceConfigsOf<FaultCampaignConfig>;
+
+/// The driver-campaign configs for one corpus device, derived from the
+/// spec — the exact configs the CLI historically built, so the config
 /// fingerprint (eval/shard.h) is unchanged. Throws std::runtime_error
 /// carrying the Devil diagnostics when the corpus spec fails to compile.
-struct DeviceCampaignConfigs {
-  DriverCampaignConfig c;
-  DriverCampaignConfig cdevil;
-};
 [[nodiscard]] DeviceCampaignConfigs driver_configs_for(
     const CampaignSpec& spec, const corpus::CampaignDrivers& drivers);
 
 /// The fault-campaign sibling: the derived driver configs wrapped with the
 /// spec's fault knobs.
-struct DeviceFaultConfigs {
-  FaultCampaignConfig c;
-  FaultCampaignConfig cdevil;
-};
 [[nodiscard]] DeviceFaultConfigs fault_configs_for(
     const CampaignSpec& spec, const corpus::CampaignDrivers& drivers);
 

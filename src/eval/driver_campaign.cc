@@ -61,30 +61,9 @@ const char* outcome_short(Outcome o) {
 
 namespace {
 
-Outcome classify_fault(minic::FaultKind kind) {
-  switch (kind) {
-    case minic::FaultKind::kDevilAssertion:
-      return Outcome::kRunTime;
-    case minic::FaultKind::kPanic:
-      return Outcome::kHalt;
-    case minic::FaultKind::kStepLimit:
-      return Outcome::kInfiniteLoop;
-    case minic::FaultKind::kWatchdog:
-      // Wall-clock containment of a wedged boot: same bucket as the step
-      // budget, but counted separately (the trip is host-speed dependent).
-      support::Metrics::add_watchdog_trip();
-      return Outcome::kInfiniteLoop;
-    case minic::FaultKind::kBusFault:
-    case minic::FaultKind::kDivByZero:
-    case minic::FaultKind::kBadIndex:
-    case minic::FaultKind::kStackOverflow:
-      return Outcome::kCrash;
-    case minic::FaultKind::kNone:
-    case minic::FaultKind::kInternal:
-      break;
-  }
-  throw std::logic_error("unclassifiable fault kind");
-}
+constexpr BootBuckets<Outcome> kBuckets{
+    Outcome::kRunTime, Outcome::kHalt, Outcome::kInfiniteLoop, Outcome::kCrash,
+    Outcome::kDamagedBoot};
 
 /// Byte range one clean-stream token's serialization occupies inside the
 /// precomputed canonical key, plus the token's (prefix-offset) line — enough
@@ -574,20 +553,12 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
   }
   support::StageTimer classify_timer(support::Stage::kClassify);
   rec.steps = run.steps_used;
-  bool clean = false;
-  if (run.fault != minic::FaultKind::kNone) {
-    rec.outcome = classify_fault(run.fault);
-    rec.detail = run.fault_message;
-  } else if (dev->damaged() ||
-             run.return_value != prep.clean_fingerprint) {
-    // Boot completed but the system is visibly wrong: persistent device
-    // damage or a different world view (wrong fingerprint computed from
-    // what the driver read).
-    rec.outcome = Outcome::kDamagedBoot;
-    rec.detail = dev->damaged() ? dev->damage_note()
-                                : "wrong boot fingerprint";
-  } else {
-    clean = true;
+  // A boot that completed but left the system visibly wrong (device damage
+  // or a different world view) is a damaged boot; a clean one is Boot or
+  // Dead code by whether the mutated line ran.
+  const bool clean = !classify_boot(run, *dev, prep.clean_fingerprint,
+                                    kBuckets, rec.outcome, rec.detail);
+  if (clean) {
     rec.outcome = classify_clean(prep, site, run.executed, *macro_uses);
   }
   if (recorder && !clean) rec.trace = recorder->render_tail();
@@ -756,15 +727,19 @@ DriverCampaignResult run_driver_campaign(const DriverCampaignConfig& config) {
   return run_driver_campaign_slice(config, SampleSlice{});
 }
 
-DriverCampaignResult run_driver_campaign_slice(
-    const DriverCampaignConfig& config, SampleSlice slice,
-    CampaignSideband* sideband) {
+CleanBaseline prepare_clean_baseline(const DriverCampaignConfig& config,
+                                     SampleSlice slice, const char* kind,
+                                     hw::DevicePool& pool, bool take_census) {
+  CleanBaseline base;
+  base.config = &config;
+  base.device = config.device.device;
   // Diagnostics name the configured device and entry so a failing campaign
   // of one device is never mistaken for another's.
-  const std::string who = "driver campaign [" +
-                          (config.device.device.empty() ? std::string("?")
-                                                        : config.device.device) +
-                          "]: ";
+  base.who = std::string(kind) + " campaign [" +
+             (config.device.device.empty() ? std::string("?")
+                                           : config.device.device) +
+             "]: ";
+  const std::string& who = base.who;
   if (slice.count == 0 || slice.index >= slice.count) {
     throw std::logic_error(who + "invalid sample slice " +
                            std::to_string(slice.index) + "/" +
@@ -777,67 +752,101 @@ DriverCampaignResult run_driver_campaign_slice(
                            "DriverCampaignConfig::device; the standard "
                            "bindings live in eval/device_bindings.h)");
   }
-  PreparedCampaign prep;
-  prep.config = &config;
-  prep.entry = config.entry.empty() ? config.device.entry : config.entry;
-  if (prep.entry.empty()) {
+  base.entry = config.entry.empty() ? config.device.entry : config.entry;
+  if (base.entry.empty()) {
     throw std::logic_error(who + "no boot entry configured (neither the "
                            "config nor the device binding names one)");
   }
-  prep.device_pool.set_factory(config.device.make_device);
-  const std::string at_entry = " (entry " + prep.entry + ")";
+  pool.set_factory(config.device.make_device);
+  const std::string at_entry = " (entry " + base.entry + ")";
 
   // Lex the invariant stub prefix once; every mutant re-lexes only the
   // driver tail. Mutants never touch the stubs (sites are scanned in the
   // driver alone), so the cached tokens are valid for all of them.
-  const std::string prefix_text =
-      config.stubs.empty() ? std::string() : config.stubs + "\n";
-  prep.prefix = minic::prepare_prefix(config.unit_name, prefix_text);
-  if (!prep.prefix.ok()) {
+  base.prefix = minic::prepare_prefix(
+      config.unit_name, config.stubs.empty() ? std::string()
+                                             : config.stubs + "\n");
+  if (!base.prefix.ok()) {
     throw std::logic_error(who + "driver stubs do not lex:\n" +
-                           prep.prefix.diags.render());
+                           base.prefix.diags.render());
+  }
+  base.program = minic::compile_with_prefix(base.prefix, config.driver);
+  if (!base.program.ok()) {
+    throw std::logic_error(who + "unmutated driver does not compile:\n" +
+                           base.program.diags.render());
+  }
+  if (config.engine == minic::ExecEngine::kBytecodeVm) {
+    try {
+      support::StageTimer timer(support::Stage::kLower);
+      base.module = minic::bytecode::compile_unit(*base.program.unit);
+    } catch (const minic::Fault& f) {
+      throw std::logic_error(who + "unmutated driver faults at boot" +
+                             at_entry + ": " + f.message);
+    }
   }
 
-  // --- baseline run -----------------------------------------------------------
-  minic::Program clean = minic::compile_with_prefix(prep.prefix,
-                                                    config.driver);
-  if (!clean.ok()) {
-    throw std::logic_error(who + "unmutated driver does not compile:\n" +
-                           clean.diags.render());
-  }
-  DriverCampaignResult result;
-  result.device = config.device.device;
-  result.entry = prep.entry;
-  {
-    hw::IoBus bus;
-    auto dev = prep.device_pool.acquire();
+  hw::IoBus bus;
+  auto dev = pool.acquire();
+  std::shared_ptr<hw::AccessCensusShim> shim;
+  if (take_census) {
+    shim = std::make_shared<hw::AccessCensusShim>(dev, config.device.port_base);
+    map_bound_device(bus, config.device, shim);
+  } else {
     map_bound_device(bus, config.device, dev);
-    // The baseline boot doubles as the campaign's deterministic profile
-    // run: steps retired and (on the VM) the per-opcode dispatch counts.
-    // Every shard recomputes these; merge validation rejects disagreement.
-    const bool vm_engine = config.engine == minic::ExecEngine::kBytecodeVm;
-    auto run = minic::run_unit(*clean.unit, bus, prep.entry,
-                               config.step_budget, config.engine,
-                               vm_engine ? &result.baseline_opcodes : nullptr,
-                               config.watchdog_ms);
-    result.baseline_steps = run.steps_used;
-    if (run.fault != minic::FaultKind::kNone) {
-      throw std::logic_error(who + "unmutated driver faults at boot" +
-                             at_entry + ": " + run.fault_message);
-    }
-    if (run.return_value <= 0) {
-      throw std::logic_error(who + "unmutated driver returned a non-positive "
-                             "boot fingerprint" + at_entry);
-    }
-    if (dev->damaged()) {
-      throw std::logic_error(who + "unmutated driver damaged the device: " +
-                             dev->damage_note());
-    }
-    result.clean_fingerprint = run.return_value;
-    bus = hw::IoBus();
-    prep.device_pool.release(std::move(dev));
   }
-  prep.clean_fingerprint = result.clean_fingerprint;
+  // The baseline boot doubles as the campaign's deterministic profile run:
+  // steps retired and (on the VM) the per-opcode dispatch counts. Every
+  // shard recomputes these; merge validation rejects disagreement.
+  auto run = base.boot(bus, &base.baseline_opcodes);
+  base.baseline_steps = run.steps_used;
+  if (run.fault != minic::FaultKind::kNone) {
+    throw std::logic_error(who + "unmutated driver faults at boot" + at_entry +
+                           ": " + run.fault_message);
+  }
+  if (run.return_value <= 0) {
+    throw std::logic_error(who + "unmutated driver returned a non-positive "
+                           "boot fingerprint" + at_entry);
+  }
+  if (dev->damaged()) {
+    throw std::logic_error(who + "unmutated driver damaged the device: " +
+                           dev->damage_note());
+  }
+  base.clean_fingerprint = run.return_value;
+  if (shim) base.census = shim->census();
+  bus = hw::IoBus();
+  shim.reset();
+  pool.release(std::move(dev));
+  return base;
+}
+
+minic::RunOutcome CleanBaseline::boot(
+    hw::IoBus& bus, minic::bytecode::OpcodeProfile* profile) const {
+  const DriverCampaignConfig& c = *config;
+  if (c.engine == minic::ExecEngine::kBytecodeVm) {
+    return minic::run_module(module, bus, entry, c.step_budget, profile,
+                             c.watchdog_ms);
+  }
+  return minic::run_unit(*program.unit, bus, entry, c.step_budget, c.engine,
+                         nullptr, c.watchdog_ms);
+}
+
+DriverCampaignResult run_driver_campaign_slice(
+    const DriverCampaignConfig& config, SampleSlice slice,
+    CampaignSideband* sideband) {
+  PreparedCampaign prep;
+  prep.config = &config;
+  DriverCampaignResult result;
+  std::string who;
+  {
+    // Mutants compile their own units, so only the prefix outlives this.
+    CleanBaseline base = prepare_clean_baseline(config, slice, "driver",
+                                                prep.device_pool, false);
+    who = std::move(base.who);
+    prep.entry = base.entry;
+    prep.prefix = std::move(base.prefix);
+    prep.clean_fingerprint = base.clean_fingerprint;
+    result.set_baseline(base);
+  }
 
   // --- mutant generation ---------------------------------------------------------
   mutation::CScanOptions scan;

@@ -10,15 +10,18 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "eval/outcome.h"
 #include "hw/device_pool.h"
+#include "hw/fault_injection.h"
 #include "hw/io_bus.h"
 #include "minic/program.h"
 #include "mutation/site.h"
+#include "support/metrics.h"
 
 namespace eval {
 
@@ -148,11 +151,25 @@ struct MutantRecord {
   bool patch_fallback = false;
 };
 
-struct DriverCampaignResult {
-  /// Device name and entry the campaign ran against (from the binding /
-  /// config), echoed so reports can label tables per device.
+/// What a campaign knows of its unmutated driver, shared by the results and
+/// shard artifacts of both boot campaigns: the device and entry it ran
+/// against (echoed so reports can label tables per device), the clean boot
+/// fingerprint, and the steps the baseline boot retired with its per-opcode
+/// dispatch profile (bytecode engine only; all-zero on the walker). The
+/// telemetry is deterministic: every shard recomputes the same values, and
+/// merge validation rejects disagreement.
+struct CampaignBaseline {
   std::string device;
   std::string entry;
+  int64_t clean_fingerprint = 0;
+  uint64_t baseline_steps = 0;
+  minic::bytecode::OpcodeProfile baseline_opcodes;
+
+  /// Copies these fields from another result or artifact of the campaign.
+  void set_baseline(const CampaignBaseline& from) { *this = from; }
+};
+
+struct DriverCampaignResult : CampaignBaseline {
   size_t total_sites = 0;
   size_t total_mutants = 0;    // before sampling
   size_t sampled_mutants = 0;
@@ -167,13 +184,6 @@ struct DriverCampaignResult {
   size_t patch_hits = 0;
   size_t patch_fallbacks = 0;
   Tally tally;
-  int64_t clean_fingerprint = 0;
-  /// Steps the unmutated baseline boot retired, and its per-opcode dispatch
-  /// profile (bytecode engine only; all-zero on the walker). Deterministic
-  /// campaign telemetry: every shard recomputes the same values, and merge
-  /// validation rejects disagreement.
-  uint64_t baseline_steps = 0;
-  minic::bytecode::OpcodeProfile baseline_opcodes;
   std::vector<MutantRecord> records;  // one per sampled mutant
 };
 
@@ -209,6 +219,89 @@ struct CampaignSideband {
   std::vector<uint8_t> prefix_cache_hit;
   std::vector<std::pair<uint64_t, uint64_t>> canonical_hash;
 };
+
+/// The buckets a boot campaign sorts a finished, faulty boot into.
+template <class O>
+struct BootBuckets {
+  O assertion;  // a Devil assertion fired
+  O panic;      // the driver's own sanity check panicked
+  O hang;       // step budget exhausted, or the wall-clock watchdog tripped
+  O crash;      // bus fault, bad index, division by zero, stack overflow
+  O damaged;    // completed, but with device damage or a wrong fingerprint
+};
+
+/// Sorts a completed boot of either campaign kind into `buckets`, setting
+/// `outcome` and `detail`, and returns true; returns false, touching
+/// neither, for a clean boot (no fault, no device damage, the clean
+/// fingerprint). A watchdog trip is counted in support::Metrics.
+template <class O>
+bool classify_boot(const minic::RunOutcome& run, const hw::Device& dev,
+                   int64_t clean_fingerprint, const BootBuckets<O>& buckets,
+                   O& outcome, std::string& detail) {
+  switch (run.fault) {
+    case minic::FaultKind::kNone:
+      if (!dev.damaged() && run.return_value == clean_fingerprint) {
+        return false;
+      }
+      outcome = buckets.damaged;
+      detail = dev.damaged() ? dev.damage_note() : "wrong boot fingerprint";
+      return true;
+    case minic::FaultKind::kDevilAssertion:
+      outcome = buckets.assertion;
+      break;
+    case minic::FaultKind::kPanic:
+      outcome = buckets.panic;
+      break;
+    case minic::FaultKind::kWatchdog:
+      // Same bucket as the step budget, but counted: the trip depends on
+      // host speed.
+      support::Metrics::add_watchdog_trip();
+      [[fallthrough]];
+    case minic::FaultKind::kStepLimit:
+      outcome = buckets.hang;
+      break;
+    case minic::FaultKind::kBusFault:
+    case minic::FaultKind::kDivByZero:
+    case minic::FaultKind::kBadIndex:
+    case minic::FaultKind::kStackOverflow:
+      outcome = buckets.crash;
+      break;
+    case minic::FaultKind::kInternal:
+      throw std::logic_error("unclassifiable fault kind");
+  }
+  detail = run.fault_message;
+  return true;
+}
+
+/// The checked starting point of both boot campaigns (this file's and
+/// eval/fault_campaign.h's): the slice, device binding and entry are valid,
+/// the stubs lex, the unmutated driver compiles (and, on the VM, is lowered
+/// once), and one boot on healthy hardware returns a positive fingerprint
+/// without faulting or damaging the device.
+struct CleanBaseline : CampaignBaseline {
+  const DriverCampaignConfig* config = nullptr;
+  std::string who;  // diagnostic prefix, "<kind> campaign [<device>]: "
+  minic::PreparedPrefix prefix;    // stubs lexed (and compiled) once
+  minic::Program program;          // the unmutated driver
+  minic::bytecode::Module module;  // `program` lowered; VM engine only
+  /// What the baseline boot's traffic would trigger; filled on request.
+  hw::AccessCensus census;
+
+  /// Boots the unmutated driver on `bus` at the resolved entry under the
+  /// config's engine, step budget and watchdog (`profile` is only filled
+  /// on the VM).
+  [[nodiscard]] minic::RunOutcome boot(
+      hw::IoBus& bus, minic::bytecode::OpcodeProfile* profile = nullptr) const;
+};
+
+/// Builds the CleanBaseline of `config` for one slice, drawing devices from
+/// `pool` (whose factory it sets). `kind` names the campaign in
+/// diagnostics; `take_census` wraps the baseline boot's device in an
+/// hw::AccessCensusShim. Throws std::logic_error naming the device and
+/// entry when any precondition fails.
+[[nodiscard]] CleanBaseline prepare_clean_baseline(
+    const DriverCampaignConfig& config, SampleSlice slice, const char* kind,
+    hw::DevicePool& pool, bool take_census);
 
 /// Runs the campaign against the configured device binding. Preconditions
 /// (std::logic_error naming the device and entry otherwise): the binding is

@@ -6,7 +6,6 @@
 
 #include "hw/flight_recorder.h"
 #include "hw/io_bus.h"
-#include "minic/program.h"
 #include "support/metrics.h"
 #include "support/parallel.h"
 #include "support/rng.h"
@@ -40,29 +39,9 @@ const char* fault_outcome_short(FaultOutcome o) {
 
 namespace {
 
-FaultOutcome classify_run_fault(minic::FaultKind kind) {
-  switch (kind) {
-    case minic::FaultKind::kDevilAssertion:
-      return FaultOutcome::kDevilCheck;
-    case minic::FaultKind::kPanic:
-      return FaultOutcome::kDriverPanic;
-    case minic::FaultKind::kStepLimit:
-      return FaultOutcome::kHang;
-    case minic::FaultKind::kWatchdog:
-      // Wall-clock containment: the boot wedged for real time, not steps.
-      support::Metrics::add_watchdog_trip();
-      return FaultOutcome::kHang;
-    case minic::FaultKind::kBusFault:
-    case minic::FaultKind::kDivByZero:
-    case minic::FaultKind::kBadIndex:
-    case minic::FaultKind::kStackOverflow:
-      return FaultOutcome::kCrash;
-    case minic::FaultKind::kNone:
-    case minic::FaultKind::kInternal:
-      break;
-  }
-  throw std::logic_error("unclassifiable fault kind");
-}
+constexpr BootBuckets<FaultOutcome> kBuckets{
+    FaultOutcome::kDevilCheck, FaultOutcome::kDriverPanic, FaultOutcome::kHang,
+    FaultOutcome::kCrash, FaultOutcome::kCorruptBoot};
 
 }  // namespace
 
@@ -155,106 +134,21 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
                                              SampleSlice slice,
                                              CampaignSideband* sideband) {
   const DriverCampaignConfig& base = config.base;
-  const std::string who = "fault campaign [" +
-                          (base.device.device.empty() ? std::string("?")
-                                                      : base.device.device) +
-                          "]: ";
-  if (slice.count == 0 || slice.index >= slice.count) {
-    throw std::logic_error(who + "invalid sample slice " +
-                           std::to_string(slice.index) + "/" +
-                           std::to_string(slice.count) +
-                           " (need 0 <= index < count)");
-  }
-  if (!base.device.ok()) {
-    throw std::logic_error(who +
-                           "no device binding configured (set "
-                           "DriverCampaignConfig::device; the standard "
-                           "bindings live in eval/device_bindings.h)");
-  }
+  // The driver is never mutated here: one compile (and, on the VM, one
+  // lowering), shared read-only by every scenario worker — each boot builds
+  // its own engine state over the const unit or module, so concurrent boots
+  // are safe. The baseline boot's census decides below which scenarios
+  // need a boot at all.
+  hw::DevicePool device_pool;
+  const CleanBaseline clean =
+      prepare_clean_baseline(base, slice, "fault", device_pool, true);
+  const std::string& who = clean.who;
   if (config.triggers.empty()) {
     throw std::logic_error(who + "empty trigger list (the scenario matrix "
                            "needs at least one trigger offset)");
   }
-  const std::string entry = base.entry.empty() ? base.device.entry : base.entry;
-  if (entry.empty()) {
-    throw std::logic_error(who + "no boot entry configured (neither the "
-                           "config nor the device binding names one)");
-  }
-  hw::DevicePool device_pool;
-  device_pool.set_factory(base.device.make_device);
-  const std::string at_entry = " (entry " + entry + ")";
-
-  // The driver is never mutated here: one compile (and, on the VM, one
-  // lowering), shared read-only by every scenario worker — each boot builds
-  // its own engine state over the const unit or module, so concurrent boots
-  // are safe.
-  const std::string prefix_text =
-      base.stubs.empty() ? std::string() : base.stubs + "\n";
-  minic::PreparedPrefix prefix = minic::prepare_prefix(base.unit_name,
-                                                       prefix_text);
-  if (!prefix.ok()) {
-    throw std::logic_error(who + "driver stubs do not lex:\n" +
-                           prefix.diags.render());
-  }
-  minic::Program clean = minic::compile_with_prefix(prefix, base.driver);
-  if (!clean.ok()) {
-    throw std::logic_error(who + "driver does not compile:\n" +
-                           clean.diags.render());
-  }
-
-  const bool vm_engine = base.engine == minic::ExecEngine::kBytecodeVm;
-  minic::bytecode::Module module;
-  if (vm_engine) {
-    try {
-      support::StageTimer timer(support::Stage::kLower);
-      module = minic::bytecode::compile_unit(*clean.unit);
-    } catch (const minic::Fault& f) {
-      throw std::logic_error(who + "driver faults on healthy hardware" +
-                             at_entry + ": " + f.message);
-    }
-  }
-  auto boot = [&](hw::IoBus& bus, minic::bytecode::OpcodeProfile* profile) {
-    return vm_engine
-               ? minic::run_module(module, bus, entry, base.step_budget,
-                                   profile, base.watchdog_ms)
-               : minic::run_unit(*clean.unit, bus, entry, base.step_budget,
-                                 base.engine, nullptr, base.watchdog_ms);
-  };
-
   FaultCampaignResult result;
-  result.device = base.device.device;
-  result.entry = entry;
-
-  // --- fault-free baseline --------------------------------------------------------
-  // The census shim counts what every scenario's injector would count on
-  // this boot, which decides below which scenarios need a boot at all.
-  hw::AccessCensus census;
-  {
-    hw::IoBus bus;
-    auto dev = device_pool.acquire();
-    auto shim =
-        std::make_shared<hw::AccessCensusShim>(dev, base.device.port_base);
-    map_bound_device(bus, base.device, shim);
-    auto run = boot(bus, vm_engine ? &result.baseline_opcodes : nullptr);
-    result.baseline_steps = run.steps_used;
-    if (run.fault != minic::FaultKind::kNone) {
-      throw std::logic_error(who + "driver faults on healthy hardware" +
-                             at_entry + ": " + run.fault_message);
-    }
-    if (run.return_value <= 0) {
-      throw std::logic_error(who + "driver returned a non-positive boot "
-                             "fingerprint on healthy hardware" + at_entry);
-    }
-    if (dev->damaged()) {
-      throw std::logic_error(who + "driver damaged the healthy device: " +
-                             dev->damage_note());
-    }
-    result.clean_fingerprint = run.return_value;
-    census = shim->census();
-    bus = hw::IoBus();
-    shim.reset();
-    device_pool.release(std::move(dev));
-  }
+  result.set_baseline(clean);
 
   // --- scenario matrix + deterministic sample -------------------------------------
   const std::vector<hw::FaultPlan> matrix =
@@ -284,7 +178,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
     FaultRecord& rec = result.records[i];
     rec.scenario_index = selected[i];
     rec.plan = matrix[selected[i]];
-    if (census.fires(rec.plan)) {
+    if (clean.census.fires(rec.plan)) {
       to_boot.push_back(i);
     } else {
       rec.steps = result.baseline_steps;
@@ -320,7 +214,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
         } else {
           map_bound_device(bus, base.device, shim);
         }
-        auto run = boot(bus, nullptr);
+        auto run = clean.boot(bus);
         if (run.fault == minic::FaultKind::kInternal) {
           throw std::logic_error(who + "interpreter bug under fault [" +
                                  plan.describe() + "]: " + run.fault_message);
@@ -328,15 +222,8 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
         support::StageTimer classify_timer(support::Stage::kClassify);
         rec.triggered = shim->fired() > 0;
         rec.steps = run.steps_used;
-        if (run.fault != minic::FaultKind::kNone) {
-          rec.outcome = classify_run_fault(run.fault);
-          rec.detail = run.fault_message;
-        } else if (dev->damaged() ||
-                   run.return_value != result.clean_fingerprint) {
-          rec.outcome = FaultOutcome::kCorruptBoot;
-          rec.detail = dev->damaged() ? dev->damage_note()
-                                      : "wrong boot fingerprint";
-        } else {
+        if (!classify_boot(run, *dev, result.clean_fingerprint, kBuckets,
+                           rec.outcome, rec.detail)) {
           rec.outcome = FaultOutcome::kCleanBoot;
         }
         if (recorder && rec.outcome != FaultOutcome::kCleanBoot) {

@@ -106,17 +106,10 @@ struct FaultCampaignConfig {
   unsigned sample_percent = 100;
 };
 
-struct FaultCampaignResult {
-  std::string device;
-  std::string entry;
+struct FaultCampaignResult : CampaignBaseline {
   size_t total_scenarios = 0;      // full matrix, before sampling
   size_t sampled_scenarios = 0;    // records in this result
   size_t triggered_scenarios = 0;  // records whose fault actually fired
-  int64_t clean_fingerprint = 0;
-  /// Deterministic baseline telemetry, as in DriverCampaignResult: the
-  /// healthy-hardware boot's step count and VM opcode profile.
-  uint64_t baseline_steps = 0;
-  minic::bytecode::OpcodeProfile baseline_opcodes;
   FaultTally tally;
   std::vector<FaultRecord> records;  // in sampled-scenario order
 };

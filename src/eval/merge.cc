@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "eval/campaign_kinds.h"
 #include "eval/report.h"
 
 namespace eval {
@@ -14,261 +14,107 @@ namespace {
   throw std::runtime_error("shard merge: " + message);
 }
 
-std::string campaign_name(const ShardArtifact& a) {
-  return a.device + "/" + a.label;
-}
-
-/// Checks that `indices` (ascending) is exactly 1..count; `suffix` extends
-/// the duplicate/missing diagnostics ("", or " in campaign ide/C").
-void check_index_coverage(const std::vector<unsigned>& indices, unsigned count,
-                          const std::string& suffix) {
+/// Sorts `shards` by their 1-based index and checks the indices are exactly
+/// 1..count; `suffix` extends the duplicate/missing diagnostics ("", or
+/// " in campaign ide/C").
+template <class T>
+std::vector<std::pair<unsigned, const T*>> sort_and_check_indices(
+    std::vector<std::pair<unsigned, const T*>> shards, unsigned count,
+    const std::string& suffix) {
+  std::sort(shards.begin(), shards.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   unsigned expected = 1;
-  for (unsigned index : indices) {
-    if (index == expected) {
-      ++expected;
-      continue;
-    }
-    if (index < expected) {
-      fail("duplicate shard " + std::to_string(index) + "/" +
+  for (const auto& [index, shard] : shards) {
+    if (index != expected) {
+      fail((index < expected ? "duplicate shard " : "missing shard ") +
+           std::to_string(index < expected ? index : expected) + "/" +
            std::to_string(count) + suffix);
     }
-    fail("missing shard " + std::to_string(expected) + "/" +
-         std::to_string(count) + suffix);
+    ++expected;
   }
   if (expected != count + 1) {
     fail("missing shard " + std::to_string(expected) + "/" +
          std::to_string(count) + suffix);
   }
-}
-
-/// Checks that the artifacts' shard indices are exactly a permutation of
-/// 1..count and returns them sorted by shard index.
-std::vector<std::pair<unsigned, const ShardArtifact*>> sort_and_check_indices(
-    std::vector<std::pair<unsigned, const ShardArtifact*>> shards,
-    unsigned count, const std::string& what) {
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<unsigned> indices;
-  indices.reserve(shards.size());
-  for (const auto& [index, artifact] : shards) {
-    (void)artifact;
-    indices.push_back(index);
-  }
-  check_index_coverage(indices, count, " in " + what);
   return shards;
 }
 
-struct Key128 {
-  uint64_t hi, lo;
-  bool operator==(const Key128& o) const { return hi == o.hi && lo == o.lo; }
-};
-struct Key128Hash {
-  size_t operator()(const Key128& k) const {
-    return static_cast<size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL));
-  }
-};
-
-}  // namespace
-
-DriverCampaignResult merge_shard_artifacts(
-    const std::vector<std::pair<unsigned, const ShardArtifact*>>& shards) {
-  if (shards.empty()) fail("no shard artifacts to merge");
-
-  const ShardArtifact& first = *shards.front().second;
-  const std::string name = campaign_name(first);
+/// Merges one campaign's shard artifacts, given in any order.
+template <class K>
+typename K::Result merge_artifacts(
+    const OrderedShards<typename K::Artifact>& shards) {
+  const auto& first = *shards.front().second;
+  const std::string name =
+      std::string(K::kCampaign) + " " + first.device + "/" + first.label;
   const unsigned count = static_cast<unsigned>(shards.size());
+  const std::string vs_first =
+      " disagrees with shard " + std::to_string(shards.front().first);
 
-  // Every artifact must come from the same campaign configuration: the
-  // fingerprint pins driver text, device binding, seed, engine and flags.
-  for (const auto& [index, artifact] : shards) {
-    if (artifact->fingerprint != first.fingerprint) {
-      fail("config fingerprint mismatch for campaign " + name + ": shard " +
-           std::to_string(index) + " ran " + artifact->fingerprint +
-           ", shard " + std::to_string(shards.front().first) + " ran " +
-           first.fingerprint + " — these artifacts are from different "
-           "campaign configurations and cannot be merged");
+  for (const auto& [index, a] : shards) {
+    // Every artifact must come from the same campaign configuration: the
+    // fingerprint pins driver text, device binding, seed, engine and flags.
+    if (a->fingerprint != first.fingerprint) {
+      fail("config fingerprint mismatch for " + name + ": shard " +
+           std::to_string(index) + " ran " + a->fingerprint + ", shard " +
+           std::to_string(shards.front().first) + " ran " + first.fingerprint +
+           " — these artifacts are from different campaign configurations "
+           "and cannot be merged");
     }
     // Belt and braces for hand-edited artifacts: the fields the merge
     // copies forward must agree even if the fingerprints were doctored.
-    if (artifact->device != first.device || artifact->label != first.label ||
-        artifact->entry != first.entry || artifact->engine != first.engine ||
-        artifact->dedup != first.dedup ||
-        artifact->sample_size != first.sample_size ||
-        artifact->total_sites != first.total_sites ||
-        artifact->total_mutants != first.total_mutants ||
-        artifact->clean_fingerprint != first.clean_fingerprint) {
-      fail("shard " + std::to_string(index) + " of campaign " + name +
-           " disagrees with shard " + std::to_string(shards.front().first) +
+    if (a->device != first.device || a->label != first.label ||
+        a->entry != first.entry || a->engine != first.engine ||
+        a->sample_size != first.sample_size ||
+        a->clean_fingerprint != first.clean_fingerprint ||
+        K::metadata(*a) != K::metadata(first)) {
+      fail("shard " + std::to_string(index) + " of " + name + vs_first +
            " on campaign metadata despite equal fingerprints (corrupt "
            "artifact?)");
     }
     // Baseline telemetry is deterministic: every shard re-boots the same
     // unmutated driver, so step counts and opcode profiles must agree.
-    if (artifact->baseline_steps != first.baseline_steps ||
-        !(artifact->baseline_opcodes == first.baseline_opcodes)) {
-      fail("shard " + std::to_string(index) + " of campaign " + name +
-           " disagrees with shard " + std::to_string(shards.front().first) +
+    if (a->baseline_steps != first.baseline_steps ||
+        !(a->baseline_opcodes == first.baseline_opcodes)) {
+      fail("shard " + std::to_string(index) + " of " + name + vs_first +
            " on the baseline boot telemetry (corrupt artifact?)");
     }
   }
 
-  auto ordered = sort_and_check_indices(shards, count, "campaign " + name);
+  const auto ordered = sort_and_check_indices(shards, count, " in " + name);
 
   // The slices must be the canonical i/N floor partition of the sample —
   // anything else means a shard ran with a different count or the artifact
   // was truncated.
-  for (const auto& [index, artifact] : ordered) {
+  for (const auto& [index, a] : ordered) {
     auto [lo, hi] = sample_slice_bounds(first.sample_size,
                                         SampleSlice{index - 1, count});
-    if (artifact->slice_begin != lo || artifact->slice_end != hi) {
+    if (a->slice_begin != lo || a->slice_end != hi) {
       fail("shard " + std::to_string(index) + "/" + std::to_string(count) +
-           " of campaign " + name + " covers sample positions [" +
-           std::to_string(artifact->slice_begin) + ", " +
-           std::to_string(artifact->slice_end) + ") but the " +
+           " of " + name + " covers sample positions [" +
+           std::to_string(a->slice_begin) + ", " +
+           std::to_string(a->slice_end) + ") but the " +
            std::to_string(count) + "-way split of " +
-           std::to_string(first.sample_size) + " sampled mutants expects [" +
-           std::to_string(lo) + ", " + std::to_string(hi) + ")");
+           std::to_string(first.sample_size) + " sampled " + K::kUnits +
+           " expects [" + std::to_string(lo) + ", " + std::to_string(hi) +
+           ")");
     }
   }
 
-  DriverCampaignResult merged;
-  merged.device = first.device;
-  merged.entry = first.entry;
-  merged.total_sites = first.total_sites;
-  merged.total_mutants = first.total_mutants;
-  merged.sampled_mutants = first.sample_size;
-  merged.clean_fingerprint = first.clean_fingerprint;
-  merged.baseline_steps = first.baseline_steps;
-  merged.baseline_opcodes = first.baseline_opcodes;
+  typename K::Result merged;
+  merged.set_baseline(first);
   merged.records.reserve(first.sample_size);
-
-  // Concatenating in shard order restores sample order; re-dedup globally.
-  // A record whose canonical key appeared in an earlier shard was compiled
-  // and booted there redundantly — the unsharded run would have classified
-  // it from the representative, with an identical outcome (the dedup
-  // invariant), so only its flag and the counters need rewriting.
-  std::unordered_set<Key128, Key128Hash> seen;
-  if (first.dedup) seen.reserve(first.sample_size);
-  for (const auto& [index, artifact] : ordered) {
-    (void)index;
-    for (const ShardRecord& r : artifact->records) {
-      MutantRecord rec = r.rec;
-      if (first.dedup) {
-        auto [it, inserted] = seen.insert(Key128{r.key_hi, r.key_lo});
-        (void)it;
-        rec.deduped = !inserted;
-        if (inserted) {
-          merged.prefix_cache_hits += r.cache_hit ? 1 : 0;
-          merged.patch_hits += rec.patched ? 1 : 0;
-          merged.patch_fallbacks += rec.patch_fallback ? 1 : 0;
-        } else {
-          ++merged.deduped_mutants;
-          // The unsharded run would have classified this record from the
-          // representative without booting — duplicates carry no patch bits.
-          rec.patched = false;
-          rec.patch_fallback = false;
-        }
-      } else {
-        rec.deduped = false;
-        merged.prefix_cache_hits += r.cache_hit ? 1 : 0;
-        merged.patch_hits += rec.patched ? 1 : 0;
-        merged.patch_fallbacks += rec.patch_fallback ? 1 : 0;
-      }
-      merged.records.push_back(std::move(rec));
-    }
-  }
-  for (const MutantRecord& rec : merged.records) {
-    merged.tally.add(rec.outcome, rec.site);
-  }
+  // Concatenating in shard order restores sample order; the kind rewrites
+  // what shard-local runs could not know.
+  K::merge(merged, ordered);
+  for (const auto& rec : merged.records) K::tally(merged.tally, rec);
   return merged;
 }
 
-FaultCampaignResult merge_fault_artifacts(
-    const std::vector<std::pair<unsigned, const FaultShardArtifact*>>& shards) {
-  if (shards.empty()) fail("no shard artifacts to merge");
-
-  const FaultShardArtifact& first = *shards.front().second;
-  const std::string name = first.device + "/" + first.label;
-  const unsigned count = static_cast<unsigned>(shards.size());
-
-  for (const auto& [index, artifact] : shards) {
-    if (artifact->fingerprint != first.fingerprint) {
-      fail("config fingerprint mismatch for fault campaign " + name +
-           ": shard " + std::to_string(index) + " ran " +
-           artifact->fingerprint + ", shard " +
-           std::to_string(shards.front().first) + " ran " + first.fingerprint +
-           " — these artifacts are from different campaign configurations "
-           "and cannot be merged");
-    }
-    if (artifact->device != first.device || artifact->label != first.label ||
-        artifact->entry != first.entry || artifact->engine != first.engine ||
-        artifact->total_scenarios != first.total_scenarios ||
-        artifact->sample_size != first.sample_size ||
-        artifact->clean_fingerprint != first.clean_fingerprint) {
-      fail("shard " + std::to_string(index) + " of fault campaign " + name +
-           " disagrees with shard " + std::to_string(shards.front().first) +
-           " on campaign metadata despite equal fingerprints (corrupt "
-           "artifact?)");
-    }
-    if (artifact->baseline_steps != first.baseline_steps ||
-        !(artifact->baseline_opcodes == first.baseline_opcodes)) {
-      fail("shard " + std::to_string(index) + " of fault campaign " + name +
-           " disagrees with shard " + std::to_string(shards.front().first) +
-           " on the baseline boot telemetry (corrupt artifact?)");
-    }
-  }
-
-  std::vector<std::pair<unsigned, const FaultShardArtifact*>> ordered = shards;
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  {
-    std::vector<unsigned> indices;
-    indices.reserve(ordered.size());
-    for (const auto& [index, artifact] : ordered) {
-      (void)artifact;
-      indices.push_back(index);
-    }
-    check_index_coverage(indices, count, " in fault campaign " + name);
-  }
-
-  for (const auto& [index, artifact] : ordered) {
-    auto [lo, hi] = sample_slice_bounds(first.sample_size,
-                                        SampleSlice{index - 1, count});
-    if (artifact->slice_begin != lo || artifact->slice_end != hi) {
-      fail("shard " + std::to_string(index) + "/" + std::to_string(count) +
-           " of fault campaign " + name + " covers sample positions [" +
-           std::to_string(artifact->slice_begin) + ", " +
-           std::to_string(artifact->slice_end) + ") but the " +
-           std::to_string(count) + "-way split of " +
-           std::to_string(first.sample_size) + " sampled scenarios expects [" +
-           std::to_string(lo) + ", " + std::to_string(hi) + ")");
-    }
-  }
-
-  FaultCampaignResult merged;
-  merged.device = first.device;
-  merged.entry = first.entry;
-  merged.total_scenarios = first.total_scenarios;
-  merged.sampled_scenarios = first.sample_size;
-  merged.clean_fingerprint = first.clean_fingerprint;
-  merged.baseline_steps = first.baseline_steps;
-  merged.baseline_opcodes = first.baseline_opcodes;
-  merged.records.reserve(first.sample_size);
-  // Concatenating in shard order restores sample order; fault scenarios
-  // are never deduped, so no flags or counters need rewriting.
-  for (const auto& [index, artifact] : ordered) {
-    (void)index;
-    merged.records.insert(merged.records.end(), artifact->records.begin(),
-                          artifact->records.end());
-  }
-  for (const FaultRecord& rec : merged.records) {
-    merged.tally.add(rec.outcome, rec.plan.port);
-    if (rec.triggered) ++merged.triggered_scenarios;
-  }
-  return merged;
-}
-
-std::vector<MergedCampaign> merge_shard_bundles(
+/// Merges the kind-K campaigns of whole bundles: validates the shard
+/// coordinates, requires every bundle to carry the same campaign list
+/// (device/label, in order) and merges each campaign across the bundles.
+template <class K>
+std::vector<MergedCampaignOf<typename K::Result>> merge_bundles(
     const std::vector<ShardBundle>& bundles) {
   if (bundles.empty()) fail("no shard artifacts to merge");
 
@@ -283,125 +129,82 @@ std::vector<MergedCampaign> merge_shard_bundles(
     }
     indexed.emplace_back(b.shard.index, &b);
   }
-  std::sort(indexed.begin(), indexed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  {
-    std::vector<unsigned> indices;
-    indices.reserve(indexed.size());
-    for (const auto& [index, bundle] : indexed) {
-      (void)bundle;
-      indices.push_back(index);
-    }
-    check_index_coverage(indices, count, "");
-  }
+  indexed = sort_and_check_indices(std::move(indexed), count, "");
 
   // Every shard process must have run the same campaign list, in order —
   // the bundles are slices of one run, not a grab bag.
-  const std::vector<ShardArtifact>& reference = indexed.front().second->campaigns;
+  const unsigned ref_index = indexed.front().first;
+  const auto& reference = indexed.front().second->*K::kBundle;
+  auto name = [](const typename K::Artifact& a) {
+    return a.device + "/" + a.label;
+  };
   for (const auto& [index, bundle] : indexed) {
-    if (bundle->campaigns.size() != reference.size()) {
+    const auto& campaigns = bundle->*K::kBundle;
+    if (campaigns.size() != reference.size()) {
       fail("shard " + std::to_string(index) + " carries " +
-           std::to_string(bundle->campaigns.size()) + " campaigns but shard " +
-           std::to_string(indexed.front().first) + " carries " +
+           std::to_string(campaigns.size()) + " " + K::kCampaign +
+           "s but shard " + std::to_string(ref_index) + " carries " +
            std::to_string(reference.size()));
     }
     for (size_t j = 0; j < reference.size(); ++j) {
-      if (bundle->campaigns[j].device != reference[j].device ||
-          bundle->campaigns[j].label != reference[j].label) {
-        fail("shard " + std::to_string(index) + " campaign #" +
-             std::to_string(j) + " is " +
-             campaign_name(bundle->campaigns[j]) + " but shard " +
-             std::to_string(indexed.front().first) + " ran " +
-             campaign_name(reference[j]) + " in that position");
-      }
-    }
-  }
-
-  std::vector<MergedCampaign> merged;
-  merged.reserve(reference.size());
-  for (size_t j = 0; j < reference.size(); ++j) {
-    std::vector<std::pair<unsigned, const ShardArtifact*>> shards;
-    shards.reserve(indexed.size());
-    for (const auto& [index, bundle] : indexed) {
-      shards.emplace_back(index, &bundle->campaigns[j]);
-    }
-    MergedCampaign m;
-    m.device = reference[j].device;
-    m.label = reference[j].label;
-    m.engine = reference[j].engine;
-    m.result = merge_shard_artifacts(shards);
-    merged.push_back(std::move(m));
-  }
-  return merged;
-}
-
-std::vector<MergedFaultCampaign> merge_fault_bundles(
-    const std::vector<ShardBundle>& bundles) {
-  if (bundles.empty()) fail("no shard artifacts to merge");
-
-  const unsigned count = bundles.front().shard.count;
-  std::vector<std::pair<unsigned, const ShardBundle*>> indexed;
-  indexed.reserve(bundles.size());
-  for (const ShardBundle& b : bundles) {
-    if (b.shard.count != count) {
-      fail("shard count mismatch: got artifacts from a " +
-           std::to_string(count) + "-way and a " +
-           std::to_string(b.shard.count) + "-way sharding");
-    }
-    indexed.emplace_back(b.shard.index, &b);
-  }
-  std::sort(indexed.begin(), indexed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  {
-    std::vector<unsigned> indices;
-    indices.reserve(indexed.size());
-    for (const auto& [index, bundle] : indexed) {
-      (void)bundle;
-      indices.push_back(index);
-    }
-    check_index_coverage(indices, count, "");
-  }
-
-  const std::vector<FaultShardArtifact>& reference =
-      indexed.front().second->fault_campaigns;
-  for (const auto& [index, bundle] : indexed) {
-    if (bundle->fault_campaigns.size() != reference.size()) {
-      fail("shard " + std::to_string(index) + " carries " +
-           std::to_string(bundle->fault_campaigns.size()) +
-           " fault campaigns but shard " +
-           std::to_string(indexed.front().first) + " carries " +
-           std::to_string(reference.size()));
-    }
-    for (size_t j = 0; j < reference.size(); ++j) {
-      if (bundle->fault_campaigns[j].device != reference[j].device ||
-          bundle->fault_campaigns[j].label != reference[j].label) {
-        fail("shard " + std::to_string(index) + " fault campaign #" +
-             std::to_string(j) + " is " +
-             bundle->fault_campaigns[j].device + "/" +
-             bundle->fault_campaigns[j].label + " but shard " +
-             std::to_string(indexed.front().first) + " ran " +
-             reference[j].device + "/" + reference[j].label +
+      if (name(campaigns[j]) != name(reference[j])) {
+        fail("shard " + std::to_string(index) + " " + K::kCampaign + " #" +
+             std::to_string(j) + " is " + name(campaigns[j]) + " but shard " +
+             std::to_string(ref_index) + " ran " + name(reference[j]) +
              " in that position");
       }
     }
   }
 
-  std::vector<MergedFaultCampaign> merged;
+  std::vector<MergedCampaignOf<typename K::Result>> merged;
   merged.reserve(reference.size());
   for (size_t j = 0; j < reference.size(); ++j) {
-    std::vector<std::pair<unsigned, const FaultShardArtifact*>> shards;
+    OrderedShards<typename K::Artifact> shards;
     shards.reserve(indexed.size());
     for (const auto& [index, bundle] : indexed) {
-      shards.emplace_back(index, &bundle->fault_campaigns[j]);
+      shards.emplace_back(index, &(bundle->*K::kBundle)[j]);
     }
-    MergedFaultCampaign m;
-    m.device = reference[j].device;
-    m.label = reference[j].label;
-    m.engine = reference[j].engine;
-    m.result = merge_fault_artifacts(shards);
-    merged.push_back(std::move(m));
+    merged.push_back({reference[j].device, reference[j].label,
+                      reference[j].engine, merge_artifacts<K>(shards)});
   }
   return merged;
+}
+
+/// Appends the report body of one kind's merged campaigns.
+template <class Result>
+void render_merged(std::string& out,
+                   const std::vector<MergedCampaignOf<Result>>& merged) {
+  using K = traits_of<Result>;
+  // Standard bundles carry a C campaign followed by a CDevil campaign per
+  // device; print those as the paper's paired tables. Anything else (a
+  // hand-built bundle) still renders, one table per campaign.
+  for (size_t i = 0; i < merged.size(); ++i) {
+    const auto& m = merged[i];
+    if (i + 1 < merged.size() && m.device == merged[i + 1].device &&
+        m.label == "C" && merged[i + 1].label == "CDevil") {
+      out += render_device_section(m.device, m.result, merged[i + 1].result);
+      ++i;
+      continue;
+    }
+    std::string title = K::kCampaign;
+    title[0] = static_cast<char>(title[0] - 'a' + 'A');
+    out += "=== " + m.device + K::kBanner + " ===\n\n";
+    out += render_table(title + " " + m.label + " (" + m.device + ")",
+                        m.result);
+    out += "\n";
+  }
+}
+
+}  // namespace
+
+std::vector<MergedCampaign> merge_shard_bundles(
+    const std::vector<ShardBundle>& bundles) {
+  return merge_bundles<MutationTraits>(bundles);
+}
+
+std::vector<MergedFaultCampaign> merge_fault_bundles(
+    const std::vector<ShardBundle>& bundles) {
+  return merge_bundles<FaultTraits>(bundles);
 }
 
 bool merge_bundle_metrics(const std::vector<ShardBundle>& bundles,
@@ -423,47 +226,8 @@ std::string render_merged_report(
     const std::vector<MergedCampaign>& merged,
     const std::vector<MergedFaultCampaign>& fault_merged) {
   std::string out;
-  // Standard bundles carry a C campaign followed by a CDevil campaign per
-  // device; print those as the paper's paired tables. Anything else (a
-  // hand-built bundle) still renders, one table per campaign.
-  size_t i = 0;
-  while (i < merged.size()) {
-    if (i + 1 < merged.size() && merged[i].device == merged[i + 1].device &&
-        merged[i].label == "C" && merged[i + 1].label == "CDevil") {
-      out += render_device_section(merged[i].device, merged[i].result,
-                                   merged[i + 1].result);
-      i += 2;
-      continue;
-    }
-    out += "=== " + merged[i].device + " ===\n\n";
-    out += render_driver_table("Campaign " + merged[i].label + " (" +
-                                   merged[i].device + ")",
-                               merged[i].result);
-    out += "\n";
-    ++i;
-  }
-  // Fault campaigns render the same way, after the mutation sections (a
-  // `--faults` bundle carries only fault campaigns, so the loop above
-  // printed nothing for it).
-  i = 0;
-  while (i < fault_merged.size()) {
-    if (i + 1 < fault_merged.size() &&
-        fault_merged[i].device == fault_merged[i + 1].device &&
-        fault_merged[i].label == "C" &&
-        fault_merged[i + 1].label == "CDevil") {
-      out += render_fault_section(fault_merged[i].device,
-                                  fault_merged[i].result,
-                                  fault_merged[i + 1].result);
-      i += 2;
-      continue;
-    }
-    out += "=== " + fault_merged[i].device + " (fault injection) ===\n\n";
-    out += render_fault_table("Fault campaign " + fault_merged[i].label +
-                                  " (" + fault_merged[i].device + ")",
-                              fault_merged[i].result);
-    out += "\n";
-    ++i;
-  }
+  render_merged(out, merged);
+  render_merged(out, fault_merged);
   return out;
 }
 

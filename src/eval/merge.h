@@ -1,75 +1,45 @@
-// Recombines campaign shard artifacts (eval/shard.h) into results that are
+// Recombines shard artifacts (eval/shard.h) into results that are
 // byte-identical to the single-process run — records, tallies, counters and
-// therefore eval/report.h's rendered tables.
+// therefore eval/report.h's rendered tables. One implementation serves both
+// campaign kinds; their one difference, the record rewrite (mutants re-dedup
+// across shards, fault scenarios are concatenated as they are), is the
+// kind's `merge` in eval/campaign_kinds.h.
 //
-// Merge semantics: canonical-key dedup is shard-local while the shards run
-// (a shard cannot see another shard's mutants), so a mutant that the
-// unsharded campaign would classify as a duplicate may have been genuinely
-// compiled and booted by its shard. That is safe — the dedup invariant
-// (ctest-enforced since the dedup PR) guarantees a key-equal mutant's run
-// produces the same outcome and detail as duplicate classification — but
-// the `deduped` flags and the dedup/prefix-cache counters must be
-// reconstructed globally. The merge therefore re-dedups across shards: it
-// walks the concatenated records in sample order, marks every record whose
-// canonical key hash appeared earlier as `deduped`, and counts prefix-cache
-// hits only for globally-first records (the only compiles the unsharded
-// campaign performs).
+// A set of artifacts merges only when it tiles exactly one run: every
+// bundle has the same shard count, the indices are exactly 1..N, every
+// bundle carries the same campaign list, and each campaign's shards agree
+// on the config fingerprint, the campaign metadata and the baseline
+// telemetry and cover the canonical i/N slices of its sample. Anything else
+// throws std::runtime_error naming the offence.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "eval/driver_campaign.h"
+#include "eval/fault_campaign.h"
 #include "eval/shard.h"
 
 namespace eval {
 
 /// One campaign reassembled from all its shards.
-struct MergedCampaign {
+template <class Result>
+struct MergedCampaignOf {
   std::string device;
-  std::string label;   // "C" / "CDevil" (ShardArtifact::label)
+  std::string label;   // "C" / "CDevil" (ShardHeader::label)
   std::string engine;  // shard-validated minic::exec_engine_name
-  DriverCampaignResult result;
+  Result result;
 };
+using MergedCampaign = MergedCampaignOf<DriverCampaignResult>;
+using MergedFaultCampaign = MergedCampaignOf<FaultCampaignResult>;
 
-/// Merges one campaign's shard artifacts, given in any order. Throws
-/// std::runtime_error naming the offence when the artifacts do not tile
-/// exactly one campaign: mismatched config fingerprints, duplicate or
-/// missing shard indices, disagreeing shard counts, slice bounds that do
-/// not match the canonical i/N partition, or metadata that disagrees
-/// between shards. `shards[i].first` is the 1-based shard index the
-/// artifact came from (its bundle's ShardSpec).
-[[nodiscard]] DriverCampaignResult merge_shard_artifacts(
-    const std::vector<std::pair<unsigned, const ShardArtifact*>>& shards);
-
-/// Merges whole bundles (one per shard process): validates the shard
-/// coordinates (same count everywhere, indices exactly 1..N), requires
-/// every bundle to carry the same campaign list (device/label, in order),
-/// and merges each campaign across the bundles. Campaigns come back in the
-/// bundles' common list order.
+/// Merges the driver-mutation campaigns of whole bundles (one per shard
+/// process). Campaigns come back in the bundles' common list order.
 [[nodiscard]] std::vector<MergedCampaign> merge_shard_bundles(
     const std::vector<ShardBundle>& bundles);
 
-/// One fault campaign reassembled from all its shards.
-struct MergedFaultCampaign {
-  std::string device;
-  std::string label;   // "C" / "CDevil" (FaultShardArtifact::label)
-  std::string engine;  // shard-validated minic::exec_engine_name
-  FaultCampaignResult result;
-};
-
-/// Merges one fault campaign's shard artifacts, given in any order. Same
-/// validation as merge_shard_artifacts (fingerprints, index coverage,
-/// canonical slice tiling, metadata agreement); fault scenarios are never
-/// deduped, so the merge is a straight concatenation in shard order with
-/// the tally and triggered count recomputed.
-[[nodiscard]] FaultCampaignResult merge_fault_artifacts(
-    const std::vector<std::pair<unsigned, const FaultShardArtifact*>>& shards);
-
-/// Merges the fault campaigns of whole bundles, mirroring
-/// merge_shard_bundles: same shard-coordinate validation, every bundle must
-/// carry the same fault-campaign list (device/label, in order). Bundles
-/// without fault campaigns merge to an empty list.
+/// The same for the fault campaigns of the bundles; bundles without fault
+/// campaigns merge to an empty list.
 [[nodiscard]] std::vector<MergedFaultCampaign> merge_fault_bundles(
     const std::vector<ShardBundle>& bundles);
 
@@ -82,9 +52,9 @@ bool merge_bundle_metrics(const std::vector<ShardBundle>& bundles,
 
 /// Renders merged campaigns as the single-process report body: adjacent
 /// C/CDevil campaigns of one device print as the paper's paired section
-/// (eval/report.h render_device_section / render_fault_section); anything
-/// else (a hand-built bundle) falls back to one table per campaign. This is
-/// the byte string `--merge` prints and the campaign service streams back —
+/// (eval/report.h render_device_section); anything else (a hand-built
+/// bundle) falls back to one table per campaign. Mutation campaigns print
+/// before fault campaigns. This is the byte string `--merge` prints —
 /// identical to the single-process run's output minus its two header lines.
 [[nodiscard]] std::string render_merged_report(
     const std::vector<MergedCampaign>& merged,

@@ -1,7 +1,5 @@
 #include "eval/metrics.h"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "eval/shard.h"
@@ -21,9 +19,7 @@ constexpr const char* kFormatTag = "devil-repro-metrics";
 // Version 4: the timing section gained fault_boots_skipped.
 constexpr int64_t kFormatVersion = 4;
 
-using support::require;
-using support::require_string;
-using support::require_u64;
+using support::JsonFieldReader;
 
 /// Zero-suppressed (name, count) pairs as an insertion-ordered JSON object.
 support::JsonValue pairs_to_json(
@@ -62,65 +58,55 @@ support::JsonValue histogram_to_json(const support::Histogram& h) {
 
 support::Histogram histogram_from_json(const support::JsonValue& v,
                                        const std::string& ctx) {
+  JsonFieldReader in(v, ctx);
+  uint64_t count = 0, total = 0;
+  in.field("count", count);
+  in.field("total", total);
+  // Only nonzero buckets are written, keyed by ascending decimal index.
+  JsonFieldReader buckets(in.require("buckets"), ctx);
+  in.finish();
   support::Histogram h;
-  uint64_t count = require_u64(v, "count", ctx);
-  uint64_t total = require_u64(v, "total", ctx);
-  const support::JsonValue& buckets = require(v, "buckets", ctx);
-  uint64_t sum = 0;
-  int64_t prev = -1;
-  for (const auto& [key, nv] : buckets.members()) {
-    size_t b = 0;
-    try {
-      size_t pos = 0;
-      b = std::stoul(key, &pos);
-      if (pos != key.size()) throw std::invalid_argument(key);
-    } catch (const std::exception&) {
-      throw std::runtime_error(ctx + ": bad bucket index '" + key + "'");
-    }
-    if (b >= support::Histogram::kBuckets) {
-      throw std::runtime_error(ctx + ": bucket index " + std::to_string(b) +
-                               " out of range");
-    }
-    if (static_cast<int64_t>(b) <= prev) {
-      throw std::runtime_error(ctx + ": bucket indices must be strictly "
-                               "ascending");
-    }
-    prev = static_cast<int64_t>(b);
-    int64_t n = nv.as_int();
-    if (n <= 0) {
-      throw std::runtime_error(ctx + ": bucket " + std::to_string(b) +
-                               " count must be positive");
-    }
-    h.set_bucket(b, static_cast<uint64_t>(n));
-    sum += static_cast<uint64_t>(n);
+  for (size_t b = 0; b < support::Histogram::kBuckets; ++b) {
+    uint64_t n = 0;
+    buckets.optional(std::to_string(b).c_str(), n);
+    h.set_bucket(b, n);
   }
-  if (sum != count) {
+  buckets.finish();
+  if (h.count() != count) {
     throw std::runtime_error(ctx + ": count says " + std::to_string(count) +
-                             " but the buckets sum to " + std::to_string(sum) +
-                             " (corrupt artifact?)");
+                             " but the buckets sum to " +
+                             std::to_string(h.count()) + " (corrupt artifact?)");
   }
   h.set_total(total);
   return h;
 }
 
+/// A campaign row's scalar fields in serialized order, walked by both the
+/// writer and the reader.
+template <class IO, class Row>
+void row_fields(IO& io, Row& row) {
+  io.field("device", row.device);
+  io.field("label", row.label);
+  io.field("entry", row.entry);
+  io.field("engine", row.engine);
+  io.field("records", row.records);
+  if (row.fault_campaign) {
+    io.field("triggered", row.triggered);
+  } else {
+    io.field("deduped", row.deduped);
+    io.field("prefix_cache_hits", row.prefix_cache_hits);
+    io.field("patch_hits", row.patch_hits);
+    io.field("patch_fallbacks", row.patch_fallbacks);
+    io.field("unique_boots", row.unique_boots);
+  }
+  io.field("boot_steps", row.boot_steps);
+  io.field("baseline_steps", row.baseline_steps);
+}
+
 support::JsonValue row_to_json(const CampaignMetricsRow& row) {
   support::JsonValue c = support::JsonValue::object();
-  c.set("device", row.device);
-  c.set("label", row.label);
-  c.set("entry", row.entry);
-  c.set("engine", row.engine);
-  c.set("records", row.records);
-  if (row.fault_campaign) {
-    c.set("triggered", row.triggered);
-  } else {
-    c.set("deduped", row.deduped);
-    c.set("prefix_cache_hits", row.prefix_cache_hits);
-    c.set("patch_hits", row.patch_hits);
-    c.set("patch_fallbacks", row.patch_fallbacks);
-    c.set("unique_boots", row.unique_boots);
-  }
-  c.set("boot_steps", row.boot_steps);
-  c.set("baseline_steps", row.baseline_steps);
+  support::JsonFieldWriter out(c);
+  row_fields(out, row);
   c.set("baseline_opcodes", pairs_to_json(row.baseline_opcodes));
   c.set("tally", pairs_to_json(row.tally));
   return c;
@@ -132,37 +118,23 @@ CampaignMetricsRow row_from_json(const support::JsonValue& v,
   std::string ctx = what + std::to_string(position);
   CampaignMetricsRow row;
   row.fault_campaign = fault_campaign;
-  row.device = require_string(v, "device", ctx);
-  row.label = require_string(v, "label", ctx);
+  JsonFieldReader in(v, ctx);
+  row_fields(in, row);
   ctx = "metrics row " + row.device + "/" + row.label;
-  row.entry = require_string(v, "entry", ctx);
-  row.engine = require_string(v, "engine", ctx);
-  row.records = require_u64(v, "records", ctx);
-  if (fault_campaign) {
-    row.triggered = require_u64(v, "triggered", ctx);
-    if (row.triggered > row.records) {
-      throw std::runtime_error(ctx + ": triggered exceeds the record count");
-    }
-  } else {
-    row.deduped = require_u64(v, "deduped", ctx);
-    row.prefix_cache_hits = require_u64(v, "prefix_cache_hits", ctx);
-    row.patch_hits = require_u64(v, "patch_hits", ctx);
-    row.patch_fallbacks = require_u64(v, "patch_fallbacks", ctx);
-    row.unique_boots = require_u64(v, "unique_boots", ctx);
-    if (row.deduped > row.records || row.unique_boots > row.records) {
-      throw std::runtime_error(ctx + ": dedup/boot counters exceed the "
-                               "record count");
-    }
-    if (row.patch_hits > row.records || row.patch_fallbacks > row.records) {
-      throw std::runtime_error(ctx + ": patch counters exceed the "
-                               "record count");
-    }
+  row.baseline_opcodes = pairs_from_json(in.require("baseline_opcodes"),
+                                         ctx + " baseline_opcodes");
+  row.tally = pairs_from_json(in.require("tally"), ctx + " tally");
+  in.finish();
+  if (row.triggered > row.records) {
+    throw std::runtime_error(ctx + ": triggered exceeds the record count");
   }
-  row.boot_steps = require_u64(v, "boot_steps", ctx);
-  row.baseline_steps = require_u64(v, "baseline_steps", ctx);
-  row.baseline_opcodes = pairs_from_json(
-      require(v, "baseline_opcodes", ctx), ctx + " baseline_opcodes");
-  row.tally = pairs_from_json(require(v, "tally", ctx), ctx + " tally");
+  if (row.deduped > row.records || row.unique_boots > row.records) {
+    throw std::runtime_error(ctx + ": dedup/boot counters exceed the "
+                             "record count");
+  }
+  if (row.patch_hits > row.records || row.patch_fallbacks > row.records) {
+    throw std::runtime_error(ctx + ": patch counters exceed the record count");
+  }
   uint64_t tallied = 0;
   for (const auto& [name, count] : row.tally) tallied += count;
   if (tallied != row.records) {
@@ -291,32 +263,26 @@ support::JsonValue process_metrics_to_json(const ProcessMetrics& pm) {
 ProcessMetrics process_metrics_from_json(const support::JsonValue& v,
                                          const std::string& ctx) {
   ProcessMetrics pm;
-  pm.threads = require_u64(v, "threads", ctx);
-  pm.wall_ns = require_u64(v, "wall_ns", ctx);
-  const support::JsonValue& stages = require(v, "stages", ctx);
-  if (stages.members().size() != support::kStageCount) {
-    throw std::runtime_error(ctx + ": expected " +
-                             std::to_string(support::kStageCount) +
-                             " stages, got " +
-                             std::to_string(stages.members().size()));
-  }
+  JsonFieldReader in(v, ctx);
+  in.field("threads", pm.threads);
+  in.field("wall_ns", pm.wall_ns);
+  // Every stage is written, in enum order.
+  JsonFieldReader stages(in.require("stages"), ctx);
   for (size_t s = 0; s < support::kStageCount; ++s) {
     const char* name = support::stage_name(static_cast<support::Stage>(s));
-    const auto& [key, hv] = stages.members()[s];
-    if (key != name) {
-      throw std::runtime_error(ctx + ": stage #" + std::to_string(s) +
-                               " is '" + key + "', expected '" + name + "'");
-    }
-    pm.stages[s] = histogram_from_json(hv, ctx + " stage " + name);
+    pm.stages[s] = histogram_from_json(stages.require(name),
+                                       ctx + " stage " + name);
   }
-  pm.pool_fresh = require_u64(v, "pool_fresh", ctx);
-  pm.pool_recycled = require_u64(v, "pool_recycled", ctx);
-  pm.watchdog_trips = require_u64(v, "watchdog_trips", ctx);
-  pm.hang_proofs = require_u64(v, "hang_proofs", ctx);
-  pm.hang_steps_skipped = require_u64(v, "hang_steps_skipped", ctx);
-  pm.fault_boots_skipped = require_u64(v, "fault_boots_skipped", ctx);
-  pm.worker_records = histogram_from_json(require(v, "worker_records", ctx),
+  stages.finish();
+  in.field("pool_fresh", pm.pool_fresh);
+  in.field("pool_recycled", pm.pool_recycled);
+  in.field("watchdog_trips", pm.watchdog_trips);
+  in.field("hang_proofs", pm.hang_proofs);
+  in.field("hang_steps_skipped", pm.hang_steps_skipped);
+  in.field("fault_boots_skipped", pm.fault_boots_skipped);
+  pm.worker_records = histogram_from_json(in.require("worker_records"),
                                           ctx + " worker_records");
+  in.finish();
   return pm;
 }
 
@@ -351,7 +317,7 @@ std::string deterministic_metrics_json(const MetricsArtifact& artifact) {
 MetricsArtifact parse_metrics(const std::string& text) {
   support::JsonValue root = [&] {
     try {
-      return support::parse_json(text);
+      return support::parse_canonical_json(text);
     } catch (const support::JsonError& e) {
       throw std::runtime_error(std::string("not a metrics artifact: ") +
                                e.what());
@@ -359,12 +325,13 @@ MetricsArtifact parse_metrics(const std::string& text) {
   }();
   try {
     const std::string ctx = "metrics artifact";
-    const std::string& format = require_string(root, "format", ctx);
+    JsonFieldReader in(root, ctx);
+    const std::string& format = in.require("format").as_string();
     if (format != kFormatTag) {
       throw std::runtime_error("not a metrics artifact: format tag is '" +
                                format + "', expected '" + kFormatTag + "'");
     }
-    int64_t version = require(root, "version", ctx).as_int();
+    int64_t version = in.require("version").as_int();
     if (version != kFormatVersion) {
       throw std::runtime_error("unsupported metrics artifact version " +
                                std::to_string(version) + " (this build reads "
@@ -372,20 +339,22 @@ MetricsArtifact parse_metrics(const std::string& text) {
                                ")");
     }
     MetricsArtifact artifact;
-    const support::JsonValue& det = require(root, "deterministic", ctx);
-    const auto& campaigns = require(det, "campaigns", ctx).items();
+    JsonFieldReader det(in.require("deterministic"), ctx);
+    const auto& campaigns = det.require("campaigns").items();
     artifact.campaigns.reserve(campaigns.size());
     for (size_t i = 0; i < campaigns.size(); ++i) {
       artifact.campaigns.push_back(row_from_json(campaigns[i], false, i));
     }
-    const auto& fault_campaigns = require(det, "fault_campaigns", ctx).items();
+    const auto& fault_campaigns = det.require("fault_campaigns").items();
     artifact.fault_campaigns.reserve(fault_campaigns.size());
     for (size_t i = 0; i < fault_campaigns.size(); ++i) {
       artifact.fault_campaigns.push_back(
           row_from_json(fault_campaigns[i], true, i));
     }
+    det.finish();
     artifact.process =
-        process_metrics_from_json(require(root, "timings", ctx), "timings");
+        process_metrics_from_json(in.require("timings"), "timings");
+    in.finish();
     return artifact;
   } catch (const support::JsonError& e) {
     throw std::runtime_error(std::string("corrupt metrics artifact: ") +
@@ -399,20 +368,7 @@ void save_metrics_artifact(const std::string& path,
 }
 
 MetricsArtifact load_metrics_artifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error(path + ": cannot open");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    throw std::runtime_error(path + ": read failed");
-  }
-  try {
-    return parse_metrics(buf.str());
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return load_artifact(path, parse_metrics);
 }
 
 }  // namespace eval

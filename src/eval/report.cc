@@ -1,9 +1,9 @@
 #include "eval/report.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
+#include "eval/campaign_kinds.h"
 #include "support/table.h"
 
 namespace eval {
@@ -21,43 +21,36 @@ std::string render_table2(const std::vector<SpecCampaignRow>& rows) {
 }
 
 namespace {
-void add_outcome_row(support::TextTable& t, const DriverCampaignResult& r,
-                     Outcome o) {
-  t.add_row({outcome_name(o), std::to_string(r.tally.sites_of(o)),
-             std::to_string(r.tally.mutants_of(o)),
-             support::percent(r.tally.mutants_of(o), r.sampled_mutants)});
-}
 
-support::TextTable build_driver_table(const DriverCampaignResult& r) {
-  support::TextTable t({"", "Number of mutation sites", "Number of mutants",
-                        "Concerned mutants / total nb. of mutants"});
-  add_outcome_row(t, r, Outcome::kCompileTime);
-  if (r.tally.mutants_of(Outcome::kRunTime) > 0) {
-    add_outcome_row(t, r, Outcome::kRunTime);
-  }
-  add_outcome_row(t, r, Outcome::kCrash);
-  add_outcome_row(t, r, Outcome::kInfiniteLoop);
-  add_outcome_row(t, r, Outcome::kHalt);
-  add_outcome_row(t, r, Outcome::kDamagedBoot);
-  add_outcome_row(t, r, Outcome::kBoot);
-  if (r.tally.mutants_of(Outcome::kDeadCode) > 0) {
-    add_outcome_row(t, r, Outcome::kDeadCode);
+template <class Result>
+support::TextTable build_table(const Result& r) {
+  using K = traits_of<Result>;
+  const std::string units = K::kUnits;
+  support::TextTable t({"", std::string("Number of ") + K::kKeys,
+                        "Number of " + units,
+                        "Concerned " + units + " / total nb. of " + units});
+  for (const auto& [o, only_when_seen] : K::kRows) {
+    const size_t n = K::count(r.tally, o);
+    if (only_when_seen && n == 0) continue;
+    t.add_row({K::name(o), std::to_string(K::key_count(r.tally, o)),
+               std::to_string(n), support::percent(n, K::sampled(r))});
   }
   t.add_separator();
-  t.add_row({"Total", std::to_string(r.total_sites),
-             std::to_string(r.sampled_mutants), "N/A"});
+  t.add_row({"Total", std::to_string(K::total_keys(r)),
+             std::to_string(K::sampled(r)), "N/A"});
   return t;
 }
 
-std::string render_driver_table_at(const std::string& title,
-                                   const DriverCampaignResult& r,
-                                   const support::TextTable& t,
-                                   const std::vector<size_t>& widths) {
+template <class Result>
+std::string render_table_at(const std::string& title, const Result& r,
+                            const support::TextTable& t,
+                            const std::vector<size_t>& widths) {
+  using K = traits_of<Result>;
   std::ostringstream os;
   os << title << "\n";
   os << t.render(widths);
-  os << "(" << r.total_mutants << " mutants generated, " << r.sampled_mutants
-     << " sampled for testing";
+  os << "(" << K::generated(r) << " " << K::kUnits << " generated, "
+     << K::sampled(r) << " sampled for testing" << K::footer(r);
   if (!r.device.empty()) os << ", device " << r.device;
   if (!r.entry.empty()) os << ", entry " << r.entry;
   os << ")\n";
@@ -87,25 +80,25 @@ void append_trace(std::ostringstream& os, const std::string& trace) {
     pos = nl + 1;
   }
 }
+
 }  // namespace
 
-std::string render_driver_table(const std::string& title,
-                                const DriverCampaignResult& r) {
-  return render_driver_table_at(title, r, build_driver_table(r), {});
+template <class Result>
+std::string render_table(const std::string& title, const Result& r) {
+  return render_table_at(title, r, build_table(r), {});
 }
 
-std::string render_comparison(const DriverCampaignResult& c_result,
-                              const DriverCampaignResult& d_result) {
+template <class Result>
+std::string render_comparison(const Result& c_result, const Result& d_result) {
+  using K = traits_of<Result>;
   auto pct = [](size_t n, size_t d) {
     return d == 0 ? 0.0 : 100.0 * static_cast<double>(n) /
                               static_cast<double>(d);
   };
-  double c_detected = pct(c_result.tally.detected(), c_result.sampled_mutants);
-  double d_detected = pct(d_result.tally.detected(), d_result.sampled_mutants);
-  double c_boot = pct(c_result.tally.mutants_of(Outcome::kBoot),
-                      c_result.sampled_mutants);
-  double d_boot = pct(d_result.tally.mutants_of(Outcome::kBoot),
-                      d_result.sampled_mutants);
+  double c_detected = pct(c_result.tally.detected(), K::sampled(c_result));
+  double d_detected = pct(d_result.tally.detected(), K::sampled(d_result));
+  double c_worst = pct(K::count(c_result.tally, K::kWorst), K::sampled(c_result));
+  double d_worst = pct(K::count(d_result.tally, K::kWorst), K::sampled(d_result));
 
   std::ostringstream os;
   os.setf(std::ios::fixed);
@@ -117,246 +110,114 @@ std::string render_comparison(const DriverCampaignResult& c_result,
     }
     os << "\n";
   }
-  os << "Detected at compile time or run time:\n";
+  os << K::kDetected << "\n";
   os << "  original C driver : " << c_detected << " %\n";
   os << "  Devil (CDevil)    : " << d_detected << " %";
   if (c_detected > 0) {
-    os << "   (" << (d_detected / c_detected) << "x more errors detected)";
+    os << "   (" << (d_detected / c_detected) << "x more "
+       << K::kDetectedRatio << ")";
   }
   os << "\n";
-  os << "Undetected 'Boot' mutants (the worst case for the developer):\n";
-  os << "  original C driver : " << c_boot << " %\n";
-  os << "  Devil (CDevil)    : " << d_boot << " %";
-  if (d_boot > 0) {
-    os << "   (" << (c_boot / d_boot) << "x fewer undetected errors)";
+  os << K::kWorstHeading << " (the worst case for the developer):\n";
+  os << "  original C driver : " << c_worst << " %\n";
+  os << "  Devil (CDevil)    : " << d_worst << " %";
+  if (d_worst > 0) {
+    os << "   (" << (c_worst / d_worst) << "x fewer " << K::kWorstRatio << ")";
   }
   os << "\n";
   return os.str();
 }
 
-std::string render_campaign_tables(const DriverCampaignResult& c_result,
-                                   const DriverCampaignResult& d_result) {
+template <class Result>
+std::string render_campaign_tables(const Result& c_result,
+                                   const Result& d_result) {
+  using K = traits_of<Result>;
   // Each table is tagged with its own result's device, so a mismatched
   // pair (wiring mistake, or a deliberate cross-device comparison) is
   // visible instead of silently labelled after the first result.
-  auto tag = [](const DriverCampaignResult& r) {
+  auto tag = [](const Result& r) {
     return r.device.empty() ? std::string() : " (" + r.device + ")";
   };
   // The pair shares one column grid: a row label or count that only one of
   // the two campaigns produces (a run-time check line, a long driver label)
   // widens both tables, keeping the device section aligned.
-  support::TextTable c_table = build_driver_table(c_result);
-  support::TextTable d_table = build_driver_table(d_result);
+  support::TextTable c_table = build_table(c_result);
+  support::TextTable d_table = build_table(d_result);
   std::vector<size_t> widths = shared_widths(c_table, d_table);
   std::ostringstream os;
-  os << render_driver_table_at("Table 3: original C driver" + tag(c_result),
-                               c_result, c_table, widths)
+  os << render_table_at(K::kTitles[0] + tag(c_result), c_result, c_table,
+                        widths)
      << "\n"
-     << render_driver_table_at("Table 4: CDevil driver" + tag(d_result),
-                               d_result, d_table, widths)
+     << render_table_at(K::kTitles[1] + tag(d_result), d_result, d_table,
+                        widths)
      << "\n" << render_comparison(c_result, d_result);
   return os.str();
 }
 
 namespace {
-void add_fault_row(support::TextTable& t, const FaultCampaignResult& r,
-                   FaultOutcome o) {
-  t.add_row({fault_outcome_name(o), std::to_string(r.tally.ports_of(o)),
-             std::to_string(r.tally.scenarios_of(o)),
-             support::percent(r.tally.scenarios_of(o), r.sampled_scenarios)});
-}
 
-support::TextTable build_fault_table(const FaultCampaignResult& r) {
-  support::TextTable t({"", "Number of ports", "Number of scenarios",
-                        "Concerned scenarios / total nb. of scenarios"});
-  if (r.tally.scenarios_of(FaultOutcome::kDevilCheck) > 0) {
-    add_fault_row(t, r, FaultOutcome::kDevilCheck);
+/// Flight-recorder post-mortems: one block per traced record (non-clean
+/// boots of a campaign run with DriverCampaignConfig::flight_recorder),
+/// capped at the first `cap` records so multi-thousand-record runs stay
+/// readable. Returns "" when no record carries a trace.
+template <class Result>
+std::string render_postmortems(const std::string& title, const Result& r,
+                               size_t cap) {
+  using K = traits_of<Result>;
+  size_t traced = 0;
+  for (const auto& rec : r.records) {
+    if (!rec.trace.empty()) ++traced;
   }
-  add_fault_row(t, r, FaultOutcome::kDriverPanic);
-  add_fault_row(t, r, FaultOutcome::kCrash);
-  add_fault_row(t, r, FaultOutcome::kHang);
-  add_fault_row(t, r, FaultOutcome::kCorruptBoot);
-  add_fault_row(t, r, FaultOutcome::kCleanBoot);
-  t.add_separator();
-  std::set<uint32_t> all_ports;
-  for (const auto& [outcome, ports] : r.tally.ports) {
-    all_ports.insert(ports.begin(), ports.end());
-  }
-  t.add_row({"Total", std::to_string(all_ports.size()),
-             std::to_string(r.sampled_scenarios), "N/A"});
-  return t;
-}
-
-std::string render_fault_table_at(const std::string& title,
-                                  const FaultCampaignResult& r,
-                                  const support::TextTable& t,
-                                  const std::vector<size_t>& widths) {
+  if (traced == 0 || cap == 0) return {};
   std::ostringstream os;
-  os << title << "\n";
-  os << t.render(widths);
-  os << "(" << r.total_scenarios << " scenarios generated, "
-     << r.sampled_scenarios << " sampled for testing, "
-     << r.triggered_scenarios << " triggered the fault";
-  if (!r.device.empty()) os << ", device " << r.device;
-  if (!r.entry.empty()) os << ", entry " << r.entry;
-  os << ")\n";
+  os << "Flight-recorder post-mortems: " << title << " (first "
+     << std::min(cap, traced) << " of " << traced << " traced records)\n";
+  size_t shown = 0;
+  for (const auto& rec : r.records) {
+    if (rec.trace.empty()) continue;
+    if (shown == cap) break;
+    ++shown;
+    os << "  " << K::describe(rec) << ": " << K::name(rec.outcome);
+    if (!rec.detail.empty()) os << " (" << rec.detail << ")";
+    os << "\n";
+    append_trace(os, rec.trace);
+  }
   return os.str();
 }
+
 }  // namespace
 
-std::string render_fault_table(const std::string& title,
-                               const FaultCampaignResult& r) {
-  return render_fault_table_at(title, r, build_fault_table(r), {});
-}
-
-std::string render_fault_comparison(const FaultCampaignResult& c_result,
-                                    const FaultCampaignResult& d_result) {
-  auto pct = [](size_t n, size_t d) {
-    return d == 0 ? 0.0 : 100.0 * static_cast<double>(n) /
-                              static_cast<double>(d);
-  };
-  double c_detected = pct(c_result.tally.detected(),
-                          c_result.sampled_scenarios);
-  double d_detected = pct(d_result.tally.detected(),
-                          d_result.sampled_scenarios);
-  double c_silent = pct(c_result.tally.scenarios_of(FaultOutcome::kCorruptBoot),
-                        c_result.sampled_scenarios);
-  double d_silent = pct(d_result.tally.scenarios_of(FaultOutcome::kCorruptBoot),
-                        d_result.sampled_scenarios);
-
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(1);
-  if (!c_result.device.empty() || !d_result.device.empty()) {
-    os << "Device under test: " << c_result.device;
-    if (d_result.device != c_result.device) {
-      os << " (C) vs " << d_result.device << " (CDevil)";
-    }
-    os << "\n";
-  }
-  os << "Injected hardware faults detected (Devil check or driver panic):\n";
-  os << "  original C driver : " << c_detected << " %\n";
-  os << "  Devil (CDevil)    : " << d_detected << " %";
-  if (c_detected > 0) {
-    os << "   (" << (d_detected / c_detected) << "x more faults detected)";
-  }
-  os << "\n";
-  os << "Silent corrupt boots (the worst case for the developer):\n";
-  os << "  original C driver : " << c_silent << " %\n";
-  os << "  Devil (CDevil)    : " << d_silent << " %";
-  if (d_silent > 0) {
-    os << "   (" << (c_silent / d_silent) << "x fewer silent corruptions)";
-  }
-  os << "\n";
-  return os.str();
-}
-
-std::string render_postmortems(const std::string& title,
-                               const DriverCampaignResult& r, size_t cap) {
-  size_t traced = 0;
-  for (const auto& rec : r.records) {
-    if (!rec.trace.empty()) ++traced;
-  }
-  if (traced == 0 || cap == 0) return {};
-  std::ostringstream os;
-  os << "Flight-recorder post-mortems: " << title << " (first "
-     << std::min(cap, traced) << " of " << traced << " traced records)\n";
-  size_t shown = 0;
-  for (const auto& rec : r.records) {
-    if (rec.trace.empty()) continue;
-    if (shown == cap) break;
-    ++shown;
-    os << "  mutant " << rec.mutant_index << ", site " << rec.site << ": "
-       << outcome_name(rec.outcome);
-    if (!rec.detail.empty()) os << " (" << rec.detail << ")";
-    os << "\n";
-    append_trace(os, rec.trace);
-  }
-  return os.str();
-}
-
-std::string render_fault_postmortems(const std::string& title,
-                                     const FaultCampaignResult& r,
-                                     size_t cap) {
-  size_t traced = 0;
-  for (const auto& rec : r.records) {
-    if (!rec.trace.empty()) ++traced;
-  }
-  if (traced == 0 || cap == 0) return {};
-  std::ostringstream os;
-  os << "Flight-recorder post-mortems: " << title << " (first "
-     << std::min(cap, traced) << " of " << traced << " traced records)\n";
-  size_t shown = 0;
-  for (const auto& rec : r.records) {
-    if (rec.trace.empty()) continue;
-    if (shown == cap) break;
-    ++shown;
-    os << "  scenario " << rec.scenario_index << " (" << rec.plan.describe()
-       << "): " << fault_outcome_name(rec.outcome);
-    if (!rec.detail.empty()) os << " (" << rec.detail << ")";
-    os << "\n";
-    append_trace(os, rec.trace);
-  }
-  return os.str();
-}
-
-std::string render_fault_tables(const FaultCampaignResult& c_result,
-                                const FaultCampaignResult& d_result) {
-  auto tag = [](const FaultCampaignResult& r) {
-    return r.device.empty() ? std::string() : " (" + r.device + ")";
-  };
-  // Shared column grid across the pair, as in render_campaign_tables.
-  support::TextTable c_table = build_fault_table(c_result);
-  support::TextTable d_table = build_fault_table(d_result);
-  std::vector<size_t> widths = shared_widths(c_table, d_table);
-  std::ostringstream os;
-  os << render_fault_table_at(
-            "Table F3: original C driver under injected hardware faults" +
-                tag(c_result),
-            c_result, c_table, widths)
-     << "\n"
-     << render_fault_table_at(
-            "Table F4: CDevil driver under injected hardware faults" +
-                tag(d_result),
-            d_result, d_table, widths)
-     << "\n" << render_fault_comparison(c_result, d_result);
-  return os.str();
-}
-
+template <class Result>
 std::string render_device_section(const std::string& device,
-                                  const DriverCampaignResult& c_result,
-                                  const DriverCampaignResult& d_result) {
+                                  const Result& c_result,
+                                  const Result& d_result) {
+  using K = traits_of<Result>;
   std::ostringstream os;
-  os << "=== " << device << " ===\n\n"
+  os << "=== " << device << K::kBanner << " ===\n\n"
      << render_campaign_tables(c_result, d_result) << "\n"
-     << "Engine counters [" << device << "]: C dedup "
-     << c_result.deduped_mutants << "/" << c_result.sampled_mutants
-     << ", prefix-cache " << c_result.prefix_cache_hits << "; CDevil dedup "
-     << d_result.deduped_mutants << "/" << d_result.sampled_mutants
-     << ", prefix-cache " << d_result.prefix_cache_hits << "\n";
+     << K::kCounters << " [" << device << "]: C " << K::counters(c_result)
+     << "; CDevil " << K::counters(d_result) << "\n";
   // Empty unless the campaign ran with the flight recorder (traces ride in
-  // the records, so merged and dispatched reports print identical
-  // post-mortems).
+  // the records, so merged reports print identical post-mortems).
   std::string pm = render_postmortems("C", c_result, 3) +
                    render_postmortems("CDevil", d_result, 3);
   if (!pm.empty()) os << "\n" << pm;
   return os.str();
 }
 
-std::string render_fault_section(const std::string& device,
-                                 const FaultCampaignResult& c_result,
-                                 const FaultCampaignResult& d_result) {
-  std::ostringstream os;
-  os << "=== " << device << " (fault injection) ===\n\n"
-     << render_fault_tables(c_result, d_result) << "\n"
-     << "Scenario counters [" << device << "]: C triggered "
-     << c_result.triggered_scenarios << "/" << c_result.sampled_scenarios
-     << "; CDevil triggered " << d_result.triggered_scenarios << "/"
-     << d_result.sampled_scenarios << "\n";
-  std::string pm = render_fault_postmortems("C", c_result, 3) +
-                   render_fault_postmortems("CDevil", d_result, 3);
-  if (!pm.empty()) os << "\n" << pm;
-  return os.str();
-}
+template std::string render_table(const std::string&,
+                                  const DriverCampaignResult&);
+template std::string render_table(const std::string&,
+                                  const FaultCampaignResult&);
+template std::string render_comparison(const DriverCampaignResult&,
+                                       const DriverCampaignResult&);
+template std::string render_campaign_tables(const DriverCampaignResult&,
+                                            const DriverCampaignResult&);
+template std::string render_device_section(const std::string&,
+                                           const DriverCampaignResult&,
+                                           const DriverCampaignResult&);
+template std::string render_device_section(const std::string&,
+                                           const FaultCampaignResult&,
+                                           const FaultCampaignResult&);
 
 }  // namespace eval

@@ -1,4 +1,9 @@
-// Renders campaign results in the layout of the paper's tables.
+// Renders campaign results in the layout of the paper's tables. The boot
+// campaigns of both kinds — driver mutation (Tables 3/4) and fault
+// injection (Tables F3/F4) — print through one set of templates; the
+// wording that differs comes from the kind's traits (eval/campaign_kinds.h).
+// report.cc instantiates render_table and render_device_section for both
+// result types, the comparison and table pair for driver campaigns.
 #pragma once
 
 #include <string>
@@ -14,75 +19,53 @@ namespace eval {
 [[nodiscard]] std::string render_table2(
     const std::vector<SpecCampaignRow>& rows);
 
-/// Tables 3/4: "Mutations on C / CDevil code". Rows follow the paper: a
-/// compile-time line, then the boot behaviours, then totals. The footer
-/// names the device binding the campaign ran against when the result
-/// carries one.
-[[nodiscard]] std::string render_driver_table(
-    const std::string& title, const DriverCampaignResult& result);
+/// One campaign's table: the detection rows, the boot behaviours, then
+/// totals, as in the paper's Tables 3/4 (fault tables list per-port counts
+/// and show the Devil-check row only when a check fired, like the run-time
+/// check row). The footer gives the generated and sampled counts and names
+/// the device binding when the result carries one.
+template <class Result>
+[[nodiscard]] std::string render_table(const std::string& title,
+                                       const Result& result);
 
-/// Headline comparison of the two campaigns (the paper's §4.2 narrative:
-/// detected fraction, worst-case "Boot" fraction, ratios). Labels the
-/// device when the results carry one.
-[[nodiscard]] std::string render_comparison(
-    const DriverCampaignResult& c_result,
-    const DriverCampaignResult& cdevil_result);
+/// The headline comparison of a device's two campaigns (the paper's §4.2
+/// narrative): the detected fraction, the worst-case fraction (undetected
+/// "Boot" mutants; silent corrupt boots under faults) and their ratios.
+/// Labels the device when the results carry one.
+template <class Result>
+[[nodiscard]] std::string render_comparison(const Result& c_result,
+                                            const Result& cdevil_result);
 
-/// One device's full evaluation: Table 3 (original C driver), Table 4
-/// (CDevil driver) and the comparison, titled per device so multi-device
-/// reports read unambiguously.
-[[nodiscard]] std::string render_campaign_tables(
-    const DriverCampaignResult& c_result,
-    const DriverCampaignResult& cdevil_result);
-
-/// Flight-recorder post-mortems for a mutation campaign: one block per
-/// traced record (MutantRecord::trace — non-clean boots of a campaign run
-/// with DriverCampaignConfig::flight_recorder), capped at the first `cap`
-/// records so multi-thousand-mutant fleets stay readable. Returns "" when
-/// no record carries a trace, so callers can print unconditionally.
-[[nodiscard]] std::string render_postmortems(const std::string& title,
-                                             const DriverCampaignResult& r,
-                                             size_t cap);
-
-/// Tables-3/4-shaped table for one fault-injection campaign: a detection
-/// line (Devil checks only shown when any fired, mirroring the run-time
-/// check row), the failure behaviours, then totals. The footer names the
-/// scenario counts and the device binding.
-[[nodiscard]] std::string render_fault_table(const std::string& title,
-                                             const FaultCampaignResult& result);
-
-/// Headline comparison of the two fault campaigns: detected fraction
-/// (Devil check or driver panic) and the silent corrupt-boot fraction (the
-/// worst case for the developer — the system limps on with bad hardware).
-[[nodiscard]] std::string render_fault_comparison(
-    const FaultCampaignResult& c_result,
-    const FaultCampaignResult& cdevil_result);
-
-/// Flight-recorder post-mortems for a fault campaign (FaultRecord::trace),
-/// mirroring render_postmortems: first `cap` traced records, "" when none.
-[[nodiscard]] std::string render_fault_postmortems(
-    const std::string& title, const FaultCampaignResult& r, size_t cap);
-
-/// One device's full fault-injection evaluation: Table F3 (original C
-/// driver), Table F4 (CDevil driver) and the comparison.
-[[nodiscard]] std::string render_fault_tables(
-    const FaultCampaignResult& c_result,
-    const FaultCampaignResult& cdevil_result);
+/// One device's full evaluation: the original C driver's table, the CDevil
+/// driver's table on a shared column grid, and the comparison.
+template <class Result>
+[[nodiscard]] std::string render_campaign_tables(const Result& c_result,
+                                                 const Result& cdevil_result);
 
 /// One device's complete report section: the "=== device ===" banner, the
-/// paired campaign tables, the engine-counter line and (when any record
-/// carries a trace) the flight-recorder post-mortems. The single-process
-/// CLI run, `--merge` and the campaign-service dispatcher all print report
-/// bodies through this one function, so their outputs are byte-comparable
-/// by construction.
-[[nodiscard]] std::string render_device_section(
-    const std::string& device, const DriverCampaignResult& c_result,
-    const DriverCampaignResult& cdevil_result);
+/// paired campaign tables, the counter line and (when any record carries a
+/// trace) the first three flight-recorder post-mortems of each campaign.
+/// The single-process CLI run and `--merge` both print report bodies
+/// through this one function, so their outputs are byte-comparable by
+/// construction.
+template <class Result>
+[[nodiscard]] std::string render_device_section(const std::string& device,
+                                                const Result& c_result,
+                                                const Result& cdevil_result);
 
-/// The fault-campaign sibling of render_device_section: banner, paired
-/// fault tables, the scenario-counter line, post-mortems.
-[[nodiscard]] std::string render_fault_section(
+/// Named forms of the templates above.
+[[nodiscard]] inline std::string render_driver_table(
+    const std::string& title, const DriverCampaignResult& result) {
+  return render_table(title, result);
+}
+[[nodiscard]] inline std::string render_fault_table(
+    const std::string& title, const FaultCampaignResult& result) {
+  return render_table(title, result);
+}
+[[nodiscard]] inline std::string render_fault_section(
     const std::string& device, const FaultCampaignResult& c_result,
-    const FaultCampaignResult& cdevil_result);
+    const FaultCampaignResult& cdevil_result) {
+  return render_device_section(device, c_result, cdevil_result);
+}
 
 }  // namespace eval

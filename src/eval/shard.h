@@ -1,14 +1,15 @@
-// Process-level campaign sharding: run one `shard i/N` slice of a driver
-// campaign and serialize the result as a mergeable artifact.
+// Process-level campaign sharding: run one `shard i/N` slice of a boot
+// campaign (driver mutation or fault injection) and serialize the result as
+// a mergeable artifact.
 //
-// A shard artifact is the recovery-friendly unit of work for scaling the
-// campaigns past one process (or one host): it carries everything a merge
-// needs to reassemble the exact single-process result — the per-mutant
-// records with their canonical dedup-key hashes, the slice bounds, the
-// shard-local tallies/counters, and a config fingerprint that pins the
-// campaign configuration the shard actually ran. eval/merge.h recombines
-// artifacts and rejects any set whose fingerprints, shard counts or slice
-// bounds do not tile one campaign.
+// An artifact has one shape for both kinds (eval/campaign_kinds.h holds the
+// per-kind differences). A ShardHeader names the campaign, pins its
+// configuration by fingerprint, gives the slice of the sample it covers and
+// carries the baseline telemetry every shard recomputes. The kind adds its
+// campaign-wide totals and shard-local counters, a shard-local tally and one
+// record per sampled mutant or scenario. A merge (eval/merge.h) needs nothing
+// else to reassemble the exact single-process result. It rejects any set
+// whose fingerprints, shard counts or slice bounds do not tile one campaign.
 //
 // Shard indices are 1-based in specs and artifacts ("shard 1/3".."3/3"),
 // matching the CLI `--shard i/N`; the in-process SampleSlice stays 0-based.
@@ -52,77 +53,55 @@ struct ShardRecord {
   uint64_t key_lo = 0;
 };
 
-/// One campaign's shard slice, as serialized. `label` distinguishes the
-/// paper's two campaigns per device ("C", "CDevil"); `fingerprint` is a
+/// The fields every shard artifact carries, whatever its kind: the
+/// campaign's baseline, which every shard recomputes (the merge validates
+/// agreement), plus `label`, which distinguishes the paper's two campaigns
+/// per device ("C", "CDevil"), the engine, the config fingerprint — a
 /// 128-bit hex digest of every config field that can change records or
-/// counters (driver and stub text, device binding, entry, sample seed and
-/// percent, step budget, engine, dedup and prefix-cache flags — but not
-/// the thread count, which never changes results). Tallies and counters
-/// are shard-local; the merge recomputes the global ones.
-struct ShardArtifact {
-  std::string device;
+/// counters (see campaign_fingerprint) — and the slice of the sample the
+/// shard covers.
+struct ShardHeader : CampaignBaseline {
   std::string label;
-  std::string entry;
   std::string engine;  // minic::exec_engine_name of the engine that ran
   std::string fingerprint;
-  bool dedup = true;
-
-  size_t sample_size = 0;   // full campaign sample, before slicing
-  size_t slice_begin = 0;   // this shard's range, in sample positions
+  size_t sample_size = 0;  // full campaign sample, before slicing
+  size_t slice_begin = 0;  // this shard's range, in sample positions
   size_t slice_end = 0;
+};
+
+/// One driver-mutation campaign's shard slice. Tallies and counters are
+/// shard-local (dedup never crosses shards); the merge recomputes the
+/// global ones.
+struct ShardArtifact : ShardHeader {
+  bool dedup = true;
   size_t total_sites = 0;
   size_t total_mutants = 0;
-  int64_t clean_fingerprint = 0;
-
-  size_t deduped_mutants = 0;    // shard-local (dedup never crosses shards)
-  size_t prefix_cache_hits = 0;  // shard-local
+  size_t deduped_mutants = 0;
+  size_t prefix_cache_hits = 0;
   /// Bytecode-patch telemetry: sums of the records' `patched` and
   /// `patch_fallback` bits. Deliberately absent from the fingerprint —
   /// patching can never change records or tallies, only these counters.
-  size_t patch_hits = 0;         // shard-local
-  size_t patch_fallbacks = 0;    // shard-local
-  Tally tally;                   // shard-local, over `records`
-
-  /// Deterministic baseline telemetry (DriverCampaignResult): every shard
-  /// recomputes identical values; the merge validates agreement.
-  uint64_t baseline_steps = 0;
-  minic::bytecode::OpcodeProfile baseline_opcodes;
-
+  size_t patch_hits = 0;
+  size_t patch_fallbacks = 0;
+  Tally tally;
   std::vector<ShardRecord> records;
 };
 
-/// One fault-injection campaign's shard slice (eval/fault_campaign.h), as
-/// serialized. Mirrors ShardArtifact: `fingerprint` pins the fault-campaign
-/// configuration (fault_campaign_fingerprint), tallies and the triggered
-/// count are shard-local, and the merge recomputes the global ones. Fault
-/// scenarios are never deduped, so there is no sideband beyond the records.
-struct FaultShardArtifact {
-  std::string device;
-  std::string label;
-  std::string entry;
-  std::string engine;  // minic::exec_engine_name of the engine that ran
-  std::string fingerprint;
-
+/// One fault-injection campaign's shard slice (eval/fault_campaign.h).
+/// `fingerprint` is fault_campaign_fingerprint; the triggered count and the
+/// tally are shard-local. Fault scenarios are never deduped, so the records
+/// carry no sideband.
+struct FaultShardArtifact : ShardHeader {
   size_t total_scenarios = 0;  // full matrix, before sampling
-  size_t sample_size = 0;      // sampled scenarios, before slicing
-  size_t slice_begin = 0;      // this shard's range, in sample positions
-  size_t slice_end = 0;
-  int64_t clean_fingerprint = 0;
-
-  size_t triggered = 0;  // shard-local: records whose fault fired
-  FaultTally tally;      // shard-local, over `records`
-
-  /// Deterministic baseline telemetry, as on ShardArtifact.
-  uint64_t baseline_steps = 0;
-  minic::bytecode::OpcodeProfile baseline_opcodes;
-
+  size_t triggered = 0;        // records whose fault fired
+  FaultTally tally;
   std::vector<FaultRecord> records;
 };
 
 /// A serialized shard file: the shard coordinates plus one artifact per
-/// campaign the process ran (the CLI writes C and CDevil per device).
-/// `fault_campaigns` is populated by `--faults` runs; mutation-campaign
-/// bundles leave it empty and their serialized form is unchanged.
+/// campaign the process ran (the CLI writes C and CDevil per device, of one
+/// kind: `--faults` runs fill `fault_campaigns`, other runs `campaigns`).
+/// An empty `fault_campaigns` list is not serialized at all.
 struct ShardBundle {
   ShardSpec shard;
   std::vector<ShardArtifact> campaigns;
@@ -142,7 +121,7 @@ struct ShardBundle {
 /// Runs slice `spec` of the campaign and packages the artifact. The
 /// underlying kernel is run_driver_campaign_slice, so an artifact's records
 /// are byte-identical to the matching subrange of the unsharded campaign,
-/// at any thread count.
+/// at any thread count. Throws std::invalid_argument on a bad `spec`.
 [[nodiscard]] ShardArtifact run_campaign_shard(
     const DriverCampaignConfig& config, const std::string& label,
     ShardSpec spec);
@@ -154,18 +133,19 @@ struct ShardBundle {
 [[nodiscard]] std::string fault_campaign_fingerprint(
     const FaultCampaignConfig& config);
 
-/// Runs slice `spec` of the fault campaign and packages the artifact
-/// (kernel: run_fault_campaign_slice — same byte-identity guarantees as
-/// run_campaign_shard).
+/// The fault-campaign form of run_campaign_shard (kernel:
+/// run_fault_campaign_slice).
 [[nodiscard]] FaultShardArtifact run_fault_campaign_shard(
     const FaultCampaignConfig& config, const std::string& label,
     ShardSpec spec);
 
 /// JSON round trip. serialize is byte-stable (equal bundles yield equal
-/// bytes); parse validates the format tag, version and every field's
-/// presence and type, recomputes the per-artifact tally/counters from the
-/// records, and throws std::runtime_error with a clear diagnostic on
-/// truncated, corrupt or internally inconsistent input.
+/// bytes). parse accepts exactly the bytes serialize writes: it validates
+/// the format tag, version and every field's presence, order and type,
+/// rejects unknown fields, non-canonical JSON and written-out defaults the
+/// writer omits, recomputes the per-artifact tally and counters from the
+/// records, and throws std::runtime_error with a clear diagnostic
+/// otherwise. So parse(text) either throws or re-serializes to `text`.
 [[nodiscard]] std::string serialize_shard_bundle(const ShardBundle& bundle);
 [[nodiscard]] ShardBundle parse_shard_bundle(const std::string& text);
 
@@ -179,12 +159,12 @@ class ArtifactWriteError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Shard-local metrics rows (eval/metrics.h): the deterministic counters of
-/// one artifact's slice. Only comparable against the same slice — the
-/// merged artifact's rows are the globally comparable ones.
-[[nodiscard]] CampaignMetricsRow shard_metrics_row(const ShardArtifact& a);
-[[nodiscard]] CampaignMetricsRow shard_fault_metrics_row(
-    const FaultShardArtifact& a);
+/// Shard-local metrics row (eval/metrics.h) of a ShardArtifact or a
+/// FaultShardArtifact: the deterministic counters of one artifact's slice.
+/// Only comparable against the same slice — the merged artifact's rows are
+/// the globally comparable ones.
+template <class Artifact>
+[[nodiscard]] CampaignMetricsRow shard_metrics_row(const Artifact& a);
 
 /// Atomically writes `text` (plus a trailing newline) to `path` via the
 /// `<path>.tmp` + rename protocol described on ArtifactWriteError. Shared by
@@ -192,6 +172,23 @@ class ArtifactWriteError : public std::runtime_error {
 /// the same crash/full-disk story and diagnostics.
 void write_artifact_atomically(const std::string& path,
                                const std::string& text);
+
+/// Reads an artifact file written by write_artifact_atomically, without its
+/// trailing newline. Throws std::runtime_error naming the path when the
+/// file cannot be read.
+[[nodiscard]] std::string read_artifact_file(const std::string& path);
+
+/// Loads an artifact file through `parse`, prefixing its errors with the
+/// path.
+template <class Parse>
+[[nodiscard]] auto load_artifact(const std::string& path, Parse parse) {
+  const std::string text = read_artifact_file(path);
+  try {
+    return parse(text);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
 
 /// File convenience wrappers. save is atomic: the bundle is written to
 /// `<path>.tmp` and renamed over `path` only after a successful flush, so a

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "support/strings.h"
+
 namespace support {
 
 const char* json_kind_name(JsonValue::Kind k) {
@@ -174,7 +176,8 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, bool canonical)
+      : text_(text), canonical_(canonical) {}
 
   JsonValue parse_document() {
     JsonValue v = parse_value();
@@ -201,6 +204,7 @@ class Parser {
   }
 
   void skip_ws() {
+    if (canonical_) return;  // the writer emits no insignificant whitespace
     while (pos_ < text_.size()) {
       char c = text_[pos_];
       if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
@@ -350,7 +354,10 @@ class Parser {
       switch (e) {
         case '"': out.push_back('"'); break;
         case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
+        case '/':
+          if (canonical_) fail("non-canonical escape");
+          out.push_back('/');
+          break;
         case 'b': out.push_back('\b'); break;
         case 'f': out.push_back('\f'); break;
         case 'n': out.push_back('\n'); break;
@@ -358,6 +365,17 @@ class Parser {
         case 't': out.push_back('\t'); break;
         case 'u': {
           unsigned cp = parse_hex4();
+          if (canonical_) {
+            // The writer escapes only control characters without a short
+            // escape, as "\\u%04x".
+            char spelled[8];
+            std::snprintf(spelled, sizeof(spelled), "%04x", cp);
+            if (cp >= 0x20 || cp == '\b' || cp == '\f' || cp == '\n' ||
+                cp == '\r' || cp == '\t' ||
+                text_.substr(pos_ - 4, 4) != spelled) {
+              fail("non-canonical escape");
+            }
+          }
           if (cp >= 0xd800 && cp <= 0xdfff) {
             // Only BMP escapes; the writer never emits surrogates.
             fail("surrogate \\u escapes are not supported");
@@ -415,8 +433,15 @@ class Parser {
     }
     std::string token(text_.substr(start, pos_ - start));
     if (is_double) {
-      return JsonValue(std::strtod(token.c_str(), nullptr));
+      double d = std::strtod(token.c_str(), nullptr);
+      if (canonical_) {
+        char spelled[32];
+        std::snprintf(spelled, sizeof(spelled), "%.17g", d);
+        if (token != spelled) fail("non-canonical number");
+      }
+      return JsonValue(d);
     }
+    if (canonical_ && token == "-0") fail("non-canonical number");
     errno = 0;
     char* end = nullptr;
     long long v = std::strtoll(token.c_str(), &end, 10);
@@ -429,6 +454,7 @@ class Parser {
   static constexpr int kMaxDepth = 200;
 
   std::string_view text_;
+  bool canonical_;
   size_t pos_ = 0;
   int depth_ = 0;
 };
@@ -436,30 +462,62 @@ class Parser {
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
-  return Parser(text).parse_document();
+  return Parser(text, false).parse_document();
 }
 
-const JsonValue& require(const JsonValue& obj, const char* key,
-                         const std::string& ctx) {
-  const JsonValue* v = obj.find(key);
-  if (!v) {
-    throw std::runtime_error(ctx + ": missing field '" + key + "'");
+JsonValue parse_canonical_json(std::string_view text) {
+  return Parser(text, true).parse_document();
+}
+
+const JsonValue& JsonFieldReader::require(const char* key) {
+  if (const JsonValue* v = take(key)) return *v;
+  throw std::runtime_error(ctx_ + ": missing field '" + key + "'");
+}
+
+void JsonFieldReader::hex128(const char* key, uint64_t& hi, uint64_t& lo) {
+  const std::string& s = require(key).as_string();
+  const std::string ctx = ctx_ + " field '" + key + "'";
+  if (s.size() != 32) {
+    throw std::runtime_error(ctx + ": expected 32 hex chars, got '" + s + "'");
   }
-  return *v;
-}
-
-uint64_t require_u64(const JsonValue& obj, const char* key,
-                     const std::string& ctx) {
-  int64_t v = require(obj, key, ctx).as_int();
-  if (v < 0) {
-    throw std::runtime_error(ctx + ": field '" + key + "' is negative");
+  uint64_t lanes[2] = {0, 0};
+  for (size_t i = 0; i < 32; ++i) {
+    char c = s[i];
+    uint64_t nibble;
+    if (c >= '0' && c <= '9') {
+      nibble = static_cast<uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      nibble = static_cast<uint64_t>(c - 'a' + 10);
+    } else {
+      throw std::runtime_error(ctx + ": invalid hex char in '" + s + "'");
+    }
+    lanes[i / 16] = (lanes[i / 16] << 4) | nibble;
   }
-  return static_cast<uint64_t>(v);
+  hi = lanes[0];
+  lo = lanes[1];
 }
 
-const std::string& require_string(const JsonValue& obj, const char* key,
-                                  const std::string& ctx) {
-  return require(obj, key, ctx).as_string();
+void JsonFieldReader::finish() const {
+  if (pos_ < members_.size()) {
+    throw std::runtime_error(ctx_ + ": unexpected field '" +
+                             members_[pos_].first + "'");
+  }
+}
+
+uint64_t JsonFieldReader::unsigned_value(const char* key, const JsonValue& v,
+                                         uint64_t max) {
+  int64_t n = v.as_int();
+  if (n < 0) {
+    throw std::runtime_error(ctx_ + ": field '" + key + "' is negative");
+  }
+  if (static_cast<uint64_t>(n) > max) {
+    throw std::runtime_error(ctx_ + ": field '" + key + "' is out of range");
+  }
+  return static_cast<uint64_t>(n);
+}
+
+void JsonFieldWriter::hex128(const char* key, uint64_t hi, uint64_t lo) {
+  object_.set(key, support::hex128(hi, lo));
 }
 
 }  // namespace support

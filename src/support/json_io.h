@@ -9,13 +9,17 @@
 //  - the reader is strict RFC-8259-shaped: one value per document, no
 //    trailing garbage, no comments, no trailing commas. Errors throw
 //    support::JsonError carrying "line L, column C" so a truncated or
-//    corrupt artifact is rejected with a diagnostic a human can act on.
+//    corrupt artifact is rejected with a diagnostic a human can act on;
+//  - the artifact readers parse in canonical mode and read fields in
+//    writer order (JsonFieldReader), so only the writer's bytes read back.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -90,16 +94,123 @@ class JsonValue {
 /// malformed, truncated or trailing-garbage input.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
-/// Strict field access for the artifact readers (shard bundles, metrics).
-/// A missing key throws std::runtime_error "CTX: missing field 'KEY'", a
-/// negative count "CTX: field 'KEY' is negative"; a value of the wrong kind
-/// throws JsonError from the typed accessor.
-[[nodiscard]] const JsonValue& require(const JsonValue& obj, const char* key,
-                                       const std::string& ctx);
-[[nodiscard]] uint64_t require_u64(const JsonValue& obj, const char* key,
-                                   const std::string& ctx);
-[[nodiscard]] const std::string& require_string(const JsonValue& obj,
-                                                const char* key,
-                                                const std::string& ctx);
+/// Parses only the bytes `to_json` writes: no whitespace outside strings,
+/// no "-0", doubles only in their %.17g form, and no string escape the
+/// writer does not emit (no "\/", \u only for the control characters
+/// without a short escape, in lowercase hex). So a document that parses
+/// re-serializes to exactly its input. Throws JsonError otherwise.
+[[nodiscard]] JsonValue parse_canonical_json(std::string_view text);
+
+/// Reads one object's members in the order its writer emitted them, for
+/// the artifact readers (shard bundles, metrics). A required field must be
+/// the next member ("CTX: missing field 'KEY'" otherwise); an optional
+/// field may be absent but, when present, must not hold the default value
+/// the writer omits; finish() rejects any member left over ("CTX:
+/// unexpected field 'KEY'"). Integers must fit their destination ("CTX:
+/// field 'KEY' is negative" / "... is out of range"); a value of the wrong
+/// kind throws JsonError. With parse_canonical_json, only the writer's own
+/// bytes read back.
+///
+/// `ctx` is held by reference, so a caller may refine the context it names
+/// (say, once a record's name is known) while reading.
+class JsonFieldReader {
+ public:
+  JsonFieldReader(const JsonValue& object, const std::string& ctx)
+      : members_(object.members()), ctx_(ctx) {}
+
+  /// The next member if it is `key`, else nullptr.
+  [[nodiscard]] const JsonValue* take(const char* key) {
+    if (pos_ < members_.size() && members_[pos_].first == key) {
+      return &members_[pos_++].second;
+    }
+    return nullptr;
+  }
+  [[nodiscard]] const JsonValue& require(const char* key);
+
+  template <class T>
+  void field(const char* key, T& value) {
+    read(key, require(key), value);
+  }
+  template <class T>
+  void optional(const char* key, T& value) {
+    if (const JsonValue* v = take(key)) {
+      read(key, *v, value);
+      if (value == T{}) {
+        throw std::runtime_error(ctx_ + ": field '" + key + "' holds the "
+                                 "default the writer omits (corrupt "
+                                 "artifact?)");
+      }
+    }
+  }
+  /// An enum written by name: `values` lists every enumerator and `name`
+  /// maps one to its spelling; `noun` names the enum in diagnostics.
+  template <class E, class Values, class Name>
+  void named(const char* key, E& value, const Values& values, Name name,
+             const char* noun) {
+    const std::string& text = require(key).as_string();
+    for (E e : values) {
+      if (text == name(e)) {
+        value = e;
+        return;
+      }
+    }
+    throw std::runtime_error(ctx_ + ": unknown " + noun + " '" + text + "'");
+  }
+  /// A 128-bit digest as support::hex128 writes it.
+  void hex128(const char* key, uint64_t& hi, uint64_t& lo);
+  void finish() const;
+
+ private:
+  template <class T>
+  void read(const char* key, const JsonValue& v, T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      value = v.as_bool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      value = v.as_string();
+    } else if constexpr (std::is_signed_v<T>) {
+      value = v.as_int();
+    } else {
+      value = static_cast<T>(unsigned_value(key, v, std::numeric_limits<T>::max()));
+    }
+  }
+  uint64_t unsigned_value(const char* key, const JsonValue& v, uint64_t max);
+
+  const JsonValue::Object& members_;
+  const std::string& ctx_;
+  size_t pos_ = 0;
+};
+
+/// The writing side of JsonFieldReader: appends each field to an object,
+/// skipping optional fields that hold their default. A field list written
+/// once as a template over the reader and writer reads back exactly what
+/// it wrote.
+class JsonFieldWriter {
+ public:
+  explicit JsonFieldWriter(JsonValue& object) : object_(object) {}
+
+  template <class T>
+  void field(const char* key, const T& value) {
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, std::string>) {
+      object_.set(key, value);
+    } else if constexpr (std::is_signed_v<T>) {
+      object_.set(key, static_cast<int64_t>(value));
+    } else {
+      object_.set(key, static_cast<uint64_t>(value));
+    }
+  }
+  template <class T>
+  void optional(const char* key, const T& value) {
+    if (!(value == T{})) field(key, value);
+  }
+  template <class E, class Values, class Name>
+  void named(const char* key, const E& value, const Values&, Name name,
+             const char*) {
+    object_.set(key, name(value));
+  }
+  void hex128(const char* key, uint64_t hi, uint64_t lo);
+
+ private:
+  JsonValue& object_;
+};
 
 }  // namespace support

@@ -4,10 +4,12 @@
 // device in campaign_drivers(), across a JSON serialize/parse round trip.
 // The merge must reject anything that does not tile exactly one campaign
 // (mismatched config fingerprints, duplicate/missing/overlapping slices,
-// corrupt or truncated artifacts), and shard artifacts must be invariant
-// under the worker thread count inside each shard.
+// corrupt or truncated artifacts), for mutation and fault bundles alike, and
+// shard artifacts must be invariant under the worker thread count inside
+// each shard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include "corpus/drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "eval/campaign_kinds.h"
 #include "eval/device_bindings.h"
 #include "eval/driver_campaign.h"
 #include "eval/merge.h"
@@ -277,10 +280,13 @@ TEST(ShardMergeTest, CrossShardDuplicatesAreReDeduped) {
 // Merge rejections: anything that does not tile exactly one campaign.
 // ---------------------------------------------------------------------------
 
+/// Merges `bundles` as both kinds (a bundle set of one kind merges to an
+/// empty list as the other) and expects a rejection naming `needle`.
 void expect_merge_error(std::vector<ShardBundle> bundles,
                         const std::string& needle) {
   try {
     (void)eval::merge_shard_bundles(bundles);
+    (void)eval::merge_fault_bundles(bundles);
     FAIL() << "merge should have rejected: " << needle;
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -302,6 +308,32 @@ std::vector<ShardBundle> two_shards(const DriverCampaignConfig& cfg) {
   return bundles;
 }
 
+/// The same two-way sharding for the busmouse C driver's fault campaign.
+std::vector<ShardBundle> two_fault_shards() {
+  eval::FaultCampaignConfig cfg;
+  cfg.base = busmouse_c_config();
+  std::vector<ShardBundle> bundles;
+  for (unsigned i = 1; i <= 2; ++i) {
+    ShardBundle bundle;
+    bundle.shard = ShardSpec{i, 2};
+    bundle.fault_campaigns.push_back(
+        eval::run_fault_campaign_shard(cfg, "C", bundle.shard));
+    bundles.push_back(std::move(bundle));
+  }
+  return bundles;
+}
+
+/// Runs `check(bundles, artifacts_of)` once per campaign kind on that
+/// kind's two-shard set; `artifacts_of(bundle)` is the kind's artifact
+/// list in a bundle.
+template <class Check>
+void for_each_kind(Check check) {
+  check(two_shards(busmouse_c_config()),
+        [](ShardBundle& b) -> auto& { return b.campaigns; });
+  check(two_fault_shards(),
+        [](ShardBundle& b) -> auto& { return b.fault_campaigns; });
+}
+
 TEST(ShardMergeTest, RejectsFingerprintMismatch) {
   auto cfg = busmouse_c_config();
   auto bundles = two_shards(cfg);
@@ -317,37 +349,66 @@ TEST(ShardMergeTest, RejectsFingerprintMismatch) {
 }
 
 TEST(ShardMergeTest, RejectsDuplicateShard) {
-  auto bundles = two_shards(busmouse_c_config());
-  bundles.push_back(bundles[1]);  // 1/2, 2/2, 2/2
-  expect_merge_error(std::move(bundles), "duplicate shard 2/2");
+  for_each_kind([](std::vector<ShardBundle> bundles, auto) {
+    bundles.push_back(bundles[1]);  // 1/2, 2/2, 2/2
+    expect_merge_error(std::move(bundles), "duplicate shard 2/2");
+  });
 }
 
 TEST(ShardMergeTest, RejectsMissingShard) {
-  auto bundles = two_shards(busmouse_c_config());
-  bundles.pop_back();  // only 1/2
-  expect_merge_error(std::move(bundles), "missing shard 2/2");
+  for_each_kind([](std::vector<ShardBundle> bundles, auto) {
+    bundles.pop_back();  // only 1/2
+    expect_merge_error(std::move(bundles), "missing shard 2/2");
+  });
 }
 
 TEST(ShardMergeTest, RejectsShardCountMismatch) {
-  auto bundles = two_shards(busmouse_c_config());
-  ShardBundle third;
-  third.shard = ShardSpec{3, 3};
-  third.campaigns.push_back(eval::run_campaign_shard(
-      busmouse_c_config(), "C", third.shard));
-  bundles.push_back(std::move(third));
-  expect_merge_error(std::move(bundles), "shard count mismatch");
+  for_each_kind([](std::vector<ShardBundle> bundles, auto) {
+    ShardBundle third = bundles[1];
+    third.shard = ShardSpec{3, 3};
+    bundles.push_back(std::move(third));
+    expect_merge_error(std::move(bundles), "shard count mismatch");
+  });
 }
 
 TEST(ShardMergeTest, RejectsDisagreeingCampaignLists) {
-  auto cfg = busmouse_c_config();
-  auto bundles = two_shards(cfg);
-  // Shard 2 "forgot" one campaign.
+  for_each_kind([](const std::vector<ShardBundle>& two, auto artifacts_of) {
+    // Shard 2 "forgot" one campaign.
+    auto bundles = two;
+    artifacts_of(bundles[1]).clear();
+    expect_merge_error(bundles, "carries 0 ");
+
+    bundles = two;
+    artifacts_of(bundles[1]).front().label = "CDevil";
+    expect_merge_error(std::move(bundles), "in that position");
+  });
+  auto bundles = two_shards(busmouse_c_config());
   bundles[1].campaigns.clear();
   expect_merge_error(std::move(bundles), "carries 0 campaigns");
+  bundles = two_fault_shards();
+  bundles[1].fault_campaigns.clear();
+  expect_merge_error(std::move(bundles), "carries 0 fault campaigns");
+}
 
-  bundles = two_shards(cfg);
-  bundles[1].campaigns.front().label = "CDevil";
-  expect_merge_error(std::move(bundles), "in that position");
+TEST(ShardMergeTest, RejectsSlicesThatDoNotTileTheSample) {
+  for_each_kind([](std::vector<ShardBundle> bundles, auto artifacts_of) {
+    artifacts_of(bundles[1]).front().slice_begin += 1;
+    expect_merge_error(std::move(bundles), "covers sample positions");
+  });
+}
+
+TEST(ShardMergeTest, RejectsMetadataDisagreementDespiteEqualFingerprints) {
+  for_each_kind([](std::vector<ShardBundle> bundles, auto artifacts_of) {
+    artifacts_of(bundles[1]).front().entry = "other_entry";
+    expect_merge_error(std::move(bundles), "despite equal fingerprints");
+  });
+}
+
+TEST(ShardMergeTest, RejectsBaselineTelemetryDisagreement) {
+  for_each_kind([](std::vector<ShardBundle> bundles, auto artifacts_of) {
+    artifacts_of(bundles[1]).front().baseline_steps += 1;
+    expect_merge_error(std::move(bundles), "baseline boot telemetry");
+  });
 }
 
 TEST(ShardMergeTest, RejectsEmptyInput) {
@@ -380,44 +441,88 @@ TEST(ShardArtifactTest, SerializeParseRoundTripIsByteStable) {
 }
 
 TEST(ShardArtifactTest, RejectsTruncatedAndCorruptArtifacts) {
-  ShardBundle bundle;
-  bundle.shard = ShardSpec{1, 2};
-  bundle.campaigns.push_back(eval::run_campaign_shard(
-      busmouse_c_config(), "C", bundle.shard));
-  const std::string text = eval::serialize_shard_bundle(bundle);
+  // Per kind: the shard-1 bundle, its record key, and an outcome edit.
+  struct Case {
+    ShardBundle bundle;
+    std::string record;
+    std::string outcome, tampered;
+  };
+  std::vector<Case> cases;
+  cases.push_back({two_shards(busmouse_c_config())[0], "{\"mutant\":",
+                   "\"outcome\":\"boot\"", "\"outcome\":\"halt\""});
+  cases.push_back({two_fault_shards()[0], "{\"scenario\":",
+                   "\"outcome\":\"clean\"", "\"outcome\":\"crash\""});
+  for (const Case& c : cases) {
+    const std::string text = eval::serialize_shard_bundle(c.bundle);
 
-  // Truncation at any of a few depths: always a parse diagnostic.
-  expect_parse_error(text.substr(0, text.size() / 2), "JSON parse error");
-  expect_parse_error(text.substr(0, 10), "JSON parse error");
-  expect_parse_error("", "JSON parse error");
-  expect_parse_error("hello", "not a shard artifact");
-  expect_parse_error(R"({"format":"something-else","version":1})",
-                     "format tag");
-  expect_parse_error(R"({"format":"devil-repro-shard","version":99})",
-                     "version 99");
+    // Truncation at any of a few depths: always a parse diagnostic.
+    expect_parse_error(text.substr(0, text.size() / 2), "JSON parse error");
+    expect_parse_error(text.substr(0, 10), "JSON parse error");
+    expect_parse_error("", "JSON parse error");
+    expect_parse_error("hello", "not a shard artifact");
+    expect_parse_error(R"({"format":"something-else","version":1})",
+                       "format tag");
+    expect_parse_error(R"({"format":"devil-repro-shard","version":99})",
+                       "version 99");
 
-  // A flipped outcome makes the stored tally disagree with the records.
-  std::string tampered = text;
-  size_t at = tampered.find("\"outcome\":\"boot\"");
+    // A flipped outcome makes the stored tally disagree with the records.
+    std::string tampered = text;
+    size_t at = tampered.find(c.outcome);
+    ASSERT_NE(at, std::string::npos);
+    tampered.replace(at, c.outcome.size(), c.tampered);
+    expect_parse_error(tampered, "corrupt artifact?");
+
+    // A missing required field is named.
+    std::string renamed = text;
+    at = renamed.find("\"entry\":");
+    ASSERT_NE(at, std::string::npos);
+    renamed.replace(at, 8, "\"entrX\":");
+    expect_parse_error(renamed, "missing field 'entry'");
+
+    // Dropping a record breaks the slice coverage.
+    std::string shorter = text;
+    at = shorter.find(c.record);
+    size_t end = shorter.find("}," + c.record);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_NE(end, std::string::npos);
+    shorter.erase(at, end + 2 - at);
+    expect_parse_error(shorter, "truncated artifact?");
+  }
+}
+
+TEST(ShardArtifactTest, RejectsInconsistentFaultRecords) {
+  const ShardBundle clean = two_fault_shards()[0];
+  auto reparse = [](const ShardBundle& b) {
+    return eval::serialize_shard_bundle(b);
+  };
+
+  // An untriggered scenario boots like the baseline, so it must be clean;
+  // the triggered count is kept consistent so only the record is wrong.
+  ShardBundle untriggered = clean;
+  eval::FaultShardArtifact& a = untriggered.fault_campaigns.front();
+  auto fired = std::find_if(a.records.begin(), a.records.end(),
+                            [](const eval::FaultRecord& r) {
+                              return r.triggered &&
+                                     r.outcome != eval::FaultOutcome::kCleanBoot;
+                            });
+  ASSERT_NE(fired, a.records.end());
+  fired->triggered = false;
+  a.triggered -= 1;
+  expect_parse_error(reparse(untriggered), "untriggered scenario");
+
+  ShardBundle miscounted = clean;
+  miscounted.fault_campaigns.front().triggered += 1;
+  expect_parse_error(reparse(miscounted), "triggered says");
+
+  const std::string kind =
+      std::string("\"kind\":\"") +
+      hw::fault_kind_name(clean.fault_campaigns.front().records[0].plan.kind) +
+      "\"";
+  std::string unknown = reparse(clean);
+  const size_t at = unknown.find(kind);
   ASSERT_NE(at, std::string::npos);
-  tampered.replace(at, 16, "\"outcome\":\"halt\"");
-  expect_parse_error(tampered, "corrupt artifact?");
-
-  // A missing required field is named.
-  std::string renamed = text;
-  at = renamed.find("\"entry\":");
-  ASSERT_NE(at, std::string::npos);
-  renamed.replace(at, 8, "\"entrX\":");
-  expect_parse_error(renamed, "missing field 'entry'");
-
-  // Dropping a record breaks the slice coverage.
-  std::string shorter = text;
-  at = shorter.find("{\"mutant\":");
-  size_t end = shorter.find("},{\"mutant\":");
-  ASSERT_NE(at, std::string::npos);
-  ASSERT_NE(end, std::string::npos);
-  shorter.erase(at, end + 2 - at);
-  expect_parse_error(shorter, "truncated artifact?");
+  unknown.replace(at, kind.size(), "\"kind\":\"stuck-sideways\"");
+  expect_parse_error(unknown, "unknown fault kind 'stuck-sideways'");
 }
 
 TEST(ShardArtifactTest, LoadReportsMissingFile) {
