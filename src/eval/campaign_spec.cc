@@ -50,7 +50,6 @@ void fill_common(const CampaignSpec& spec,
   cfg->threads = spec.threads;
   cfg->engine = spec.engine;
   cfg->dedup = spec.dedup;
-  cfg->prefix_cache = spec.prefix_cache;
   cfg->bytecode_patch = spec.bytecode_patch;
   cfg->flight_recorder = spec.flight_recorder;
 }
@@ -174,8 +173,6 @@ const std::vector<CampaignFlag>& campaign_spec_flags() {
        "percent of mutants booted (0 = per-corpus default)"},
       {"--step-budget", "N", true, "interpreter steps per boot"},
       {"--no-dedup", nullptr, true, "disable canonical token-class dedup"},
-      {"--no-prefix-cache", nullptr, true,
-       "disable the compiled-prefix cache"},
       {"--no-bytecode-patch", nullptr, false,
        "recompile every mutant instead of patching bytecode"},
       {"--flight-recorder", nullptr, false,
@@ -257,10 +254,6 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
   }
   if (name == "--no-dedup") {
     spec.dedup = false;
-    return "";
-  }
-  if (name == "--no-prefix-cache") {
-    spec.prefix_cache = false;
     return "";
   }
   if (name == "--no-bytecode-patch") {

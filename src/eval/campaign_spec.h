@@ -46,7 +46,6 @@ struct CampaignSpec {
   unsigned sample_percent = 0;
   uint64_t step_budget = kDefaultStepBudget;
   bool dedup = true;
-  bool prefix_cache = true;
   bool bytecode_patch = true;
   bool flight_recorder = false;
   uint64_t watchdog_ms = 10'000;

@@ -84,7 +84,7 @@ struct PreparedCampaign {
   std::vector<mutation::Mutant> mutants;
   int64_t clean_fingerprint = 0;
   /// Clean-tail recording compile + the patcher built from it. `patcher` is
-  /// null when patching is off, the engine is not the cached VM, or the
+  /// null when patching is off, the engine is the walker, or the
   /// clean tail needed the whole-unit fallback — then every mutant
   /// recompiles, exactly as before this layer existed.
   minic::RecordedTail recorded;
@@ -133,25 +133,6 @@ Outcome classify_clean(const PreparedCampaign& prep, const mutation::Site& site,
     ran = executed.test(site.line + prep.prefix.lines);
   }
   return ran ? Outcome::kBoot : Outcome::kDeadCode;
-}
-
-/// True when this campaign compiles mutants through the compiled-prefix
-/// cache (tail-only front end + segment splice) instead of whole units.
-bool uses_prefix_cache(const PreparedCampaign& prep) {
-  return prep.config->prefix_cache &&
-         prep.config->engine == minic::ExecEngine::kBytecodeVm &&
-         prep.prefix.compiled != nullptr;
-}
-
-/// True when the tree-walker oracle runs layered over the prefix cache
-/// (tail-only front end + `run_tail_unit`) instead of whole units.
-/// Observationally identical either way (ctest-enforced); these boots do
-/// NOT count as `prefix_cache_hits`, which keeps its bytecode-splice
-/// meaning.
-bool walker_uses_prefix(const PreparedCampaign& prep) {
-  return prep.config->prefix_cache &&
-         prep.config->engine == minic::ExecEngine::kTreeWalker &&
-         prep.prefix.compiled != nullptr;
 }
 
 /// Appends one token's canonical-key serialization: kind byte, raw line,
@@ -420,8 +401,8 @@ std::optional<minic::bytecode::PatchRequest> derive_patch_request(
 }
 
 /// The pure per-mutant kernel: splice, compile (tail-only against the
-/// cached compiled prefix on the VM engine, whole-unit token splice
-/// otherwise), boot, classify. Touches nothing but its own locals and the
+/// cached compiled prefix on the VM engine, whole-unit token splice on the
+/// walker), boot, classify. Touches nothing but its own locals and the
 /// read-only `prep` (plus the locked disk pool), so any number of these can
 /// run concurrently. When `snap` is non-null the site-independent boot
 /// residue is captured for duplicate classification.
@@ -451,14 +432,9 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     }
   }
 
-  const bool cached = uses_prefix_cache(prep);
-  const bool layered = walker_uses_prefix(prep);
-  minic::Program prog;
-  minic::SplicedProgram spliced;
-  minic::CheckedTail checked;
-  // Which whole-unit Program (if any) this boot runs: the no-cache path, or
-  // either cache's symbol-collision fallback.
-  bool whole_unit = !cached && !layered;
+  const bool vm = config.engine == minic::ExecEngine::kBytecodeVm;
+  minic::Program prog;            // walker
+  minic::SplicedProgram spliced;  // VM
   const std::map<std::string, std::set<uint32_t>>* macro_uses = nullptr;
   bool compile_ok = true;
   const support::DiagnosticEngine* diags = nullptr;
@@ -479,29 +455,19 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
         pre_spliced.empty()
             ? mutation::apply_mutant(config.driver, prep.sites, m)
             : std::move(pre_spliced);
-    if (cached) {
+    if (vm) {
       spliced = minic::compile_tail(prep.prefix, mutated_driver);
       if (!spliced.internal_error.empty()) {
         throw std::logic_error("interpreter bug on mutant: " +
                                spliced.internal_error);
       }
-      // A *measured* hit: only the tail-compile path counts, not the rare
-      // symbol-collision fallback to whole-unit compilation.
+      // A *measured* hit: only the tail-compile path counts, not the
+      // whole-unit fallback.
       if (cache_hit && !spliced.whole_unit_fallback) *cache_hit = 1;
       macro_uses = &spliced.macro_use_lines;
       compile_ok = spliced.ok();
       diags = &spliced.diags;
-    } else if (layered) {
-      checked = minic::check_tail(prep.prefix, mutated_driver);
-      if (checked.whole_unit_fallback) {
-        whole_unit = true;
-      } else {
-        macro_uses = &checked.macro_use_lines;
-        compile_ok = checked.ok();
-        diags = &checked.diags;
-      }
-    }
-    if (whole_unit) {
+    } else {
       prog = minic::compile_with_prefix(prep.prefix, mutated_driver);
       if (prog.ok()) macro_uses = &prog.unit->macro_use_lines;
       compile_ok = prog.ok();
@@ -534,18 +500,14 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     map_bound_device(bus, config.device, dev);
   }
   minic::RunOutcome run;
-  if (patched) {
-    run = minic::run_module(*patched, bus, prep.entry, config.step_budget,
-                            nullptr, config.watchdog_ms);
-  } else if (cached) {
-    run = minic::run_module(*spliced.module, bus, prep.entry,
-                            config.step_budget, nullptr, config.watchdog_ms);
-  } else if (layered && !whole_unit) {
-    run = minic::run_tail_unit(prep.prefix, *checked.unit, bus, prep.entry,
-                               config.step_budget, config.watchdog_ms);
+  if (vm) {  // patched modules exist only on the VM
+    run = minic::run_module(patched ? *patched : *spliced.module, bus,
+                            prep.entry, config.step_budget, nullptr,
+                            config.watchdog_ms);
   } else {
     run = minic::run_unit(*prog.unit, bus, prep.entry, config.step_budget,
-                          config.engine, nullptr, config.watchdog_ms);
+                          minic::ExecEngine::kTreeWalker, nullptr,
+                          config.watchdog_ms);
   }
 
   if (run.fault == minic::FaultKind::kInternal) {
@@ -664,7 +626,7 @@ std::optional<std::string> fast_canonical_key(const PreparedCampaign& prep,
 
 /// Runs the clean tail through the recording compile and, when it splices
 /// cleanly, builds the patcher plus the fast-key spans. Called once per
-/// campaign, after the site scan, only on the cached-VM engine with
+/// campaign, after the site scan, only on the VM engine with
 /// patching enabled.
 void build_patch_context(PreparedCampaign& prep) {
   const DriverCampaignConfig& config = *prep.config;
@@ -682,8 +644,9 @@ void build_patch_context(PreparedCampaign& prep) {
   prep.recorded =
       minic::compile_tail_recording(prep.prefix, config.driver, spans);
   // The clean driver compiled whole-unit moments ago (baseline boot), so a
-  // failure here can only be the symbol-collision fallback — every mutant
-  // then recompiles, exactly as with patching off.
+  // failure here can only be the whole-unit fallback (no stage-1 cache or a
+  // symbol collision) — every mutant then recompiles, exactly as with
+  // patching off.
   if (!prep.recorded.spliced.ok() ||
       prep.recorded.spliced.whole_unit_fallback ||
       prep.recorded.tail_unit == nullptr) {
@@ -860,8 +823,8 @@ DriverCampaignResult run_driver_campaign_slice(
   result.total_mutants = prep.mutants.size();
 
   // --- clean-tail recording compile (patching + fast dedup keys) ------------------
-  if (config.bytecode_patch && uses_prefix_cache(prep) &&
-      !prep.sites.empty()) {
+  if (config.bytecode_patch &&
+      config.engine == minic::ExecEngine::kBytecodeVm && !prep.sites.empty()) {
     build_patch_context(prep);
   }
 

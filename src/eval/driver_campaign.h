@@ -102,22 +102,13 @@ struct DriverCampaignConfig {
   /// visible in the records — classified against their own site from the
   /// representative's boot — and tallies are unchanged.
   bool dedup = true;
-  /// Compile mutants through the compiled-prefix cache: the invariant stub
-  /// prefix is parsed, typechecked and lowered once per campaign
-  /// (`minic::prepare_prefix` stage 1) and every mutant compiles only the
-  /// driver tail — splicing the cached bytecode segment on the VM engine,
-  /// layering the tail unit over the prefix unit on the tree walker
-  /// (`minic::check_tail` + `run_tail_unit`). Byte-identical records either
-  /// way (ctest-enforced). `prefix_cache_hits` still counts only bytecode
-  /// tail splices; walker layering is not a segment splice.
-  bool prefix_cache = true;
   /// Boot token-local mutants from a patched copy of the clean tail
   /// bytecode (minic::bytecode::Patcher) instead of re-running the front
-  /// end. Only effective with the prefix cache on the VM engine. Patched
-  /// and recompiled boots are byte-identical (ctest-enforced), so this flag
-  /// is deliberately NOT part of the campaign fingerprint — like `threads`,
-  /// it can never change records or tallies, only `patched`/`patch_fallback`
-  /// telemetry bits.
+  /// end. Only effective on the VM engine (the walker compiles whole
+  /// units). Patched and recompiled boots are byte-identical
+  /// (ctest-enforced), so this flag is deliberately NOT part of the campaign
+  /// fingerprint — like `threads`, it can never change records or tallies,
+  /// only `patched`/`patch_fallback` telemetry bits.
   bool bytecode_patch = true;
   /// Wrap every boot's device in a `hw::FlightRecorder` and attach the
   /// rendered port-access tail to each non-clean record (`MutantRecord::

@@ -279,7 +279,9 @@ std::string campaign_fingerprint(const DriverCampaignConfig& config) {
   h.update_u64(config.step_budget);
   h.update_field(minic::exec_engine_name(config.engine));
   h.update_u64(config.dedup ? 1 : 0);
-  h.update_u64(config.prefix_cache ? 1 : 0);
+  // Where the compiled-prefix cache flag was: always on, so fingerprints
+  // from before the flag was removed stay valid.
+  h.update_u64(1);
   // The recorder changes record contents (traces), so shards must agree.
   h.update_u64(config.flight_recorder ? 1 : 0);
   // Deliberately not hashed: config.threads — results are thread-count

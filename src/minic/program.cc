@@ -1,7 +1,7 @@
 #include "minic/program.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <optional>
 
 #include "minic/bytecode/vm.h"
 #include "minic/lexer.h"
@@ -69,7 +69,7 @@ PreparedPrefix prepare_prefix(const std::string& name,
   // Stage 1 of the compiled-prefix pipeline: parse, typecheck and lower the
   // prefix once. A prefix that does not stand alone as a clean unit (one
   // whose declarations only resolve once the tail exists) keeps the cache
-  // empty and `compile_tail` callers must use the token-splice path.
+  // empty, and `compile_tail` then compiles whole units.
   auto compiled = std::make_shared<CompiledPrefix>();
   {
     support::DiagnosticEngine pd;
@@ -96,12 +96,39 @@ PreparedPrefix prepare_prefix(const std::string& name,
 
 namespace {
 
+/// Lexes `tail` as the continuation of `prefix`: the prefix's macros are in
+/// scope and line numbers continue after the prefix's. `site_spans` (may be
+/// null) tags tokens with their mutation sites.
+LexOutput lex_tail(const PreparedPrefix& prefix, const std::string& tail,
+                   support::DiagnosticEngine& diags,
+                   const std::vector<SiteSpan>* site_spans = nullptr) {
+  support::SourceBuffer buf(prefix.name, tail);
+  LexOptions options;
+  options.seed_macros = &prefix.macros;
+  options.line_offset = prefix.lines;
+  options.site_spans = site_spans;
+  StageTimer timer(Stage::kLex);
+  return lex_unit(buf, diags, options);
+}
+
+/// The prefix's macro uses plus the tail's.
+std::map<std::string, std::set<uint32_t>> merged_macro_uses(
+    const PreparedPrefix& prefix, const LexOutput& lexed) {
+  auto uses = prefix.macro_use_lines;
+  for (const auto& [name, lines] : lexed.macro_use_lines) {
+    uses[name].insert(lines.begin(), lines.end());
+  }
+  return uses;
+}
+
 /// Whole-unit fallback for `compile_tail`: token-splice compile + full
 /// lowering. Byte-identical to whole-unit compilation by construction; used
-/// when tail/prefix symbol collisions make tail-only checking diverge.
+/// when the prefix has no stage-1 cache or when tail/prefix symbol
+/// collisions make tail-only checking diverge.
 SplicedProgram spliced_from_whole_unit(const PreparedPrefix& prefix,
                                        const std::string& tail) {
   SplicedProgram out;
+  out.whole_unit_fallback = true;
   Program prog = compile_with_prefix(prefix, tail);
   out.diags = std::move(prog.diags);
   if (!prog.unit) return out;
@@ -116,38 +143,23 @@ SplicedProgram spliced_from_whole_unit(const PreparedPrefix& prefix,
   return out;
 }
 
-}  // namespace
-
-SplicedProgram compile_tail(const PreparedPrefix& prefix,
-                            const std::string& tail) {
-  if (!prefix.compiled) {
-    throw std::logic_error(
-        "compile_tail: prefix has no stage-1 cache (prepare_prefix failed "
-        "or the prefix is not self-contained)");
-  }
+/// Stages 2+3 on a lexed tail: parses `tokens`, checks them against the
+/// cached prefix symbols and splices the tail's lowering after the cached
+/// segment into `out` (recording patch points into a non-null `patch`).
+/// Collisions only whole-unit checking reproduces replace `out` with the
+/// whole-unit fallback. Returns the typechecked tail unit when the splice
+/// succeeded.
+std::optional<Unit> splice_tail(const PreparedPrefix& prefix,
+                                const std::string& tail,
+                                std::vector<Token> tokens, SplicedProgram& out,
+                                bytecode::PatchTable* patch) {
   const CompiledPrefix& cp = *prefix.compiled;
-  SplicedProgram out;
-  support::SourceBuffer buf(prefix.name, tail);
-  LexOptions options;
-  options.seed_macros = &prefix.macros;
-  options.line_offset = prefix.lines;
-  LexOutput lexed = [&] {
-    StageTimer timer(Stage::kLex);
-    return lex_unit(buf, out.diags, options);
-  }();
-  if (out.diags.has_errors()) return out;
-
-  out.macro_use_lines = prefix.macro_use_lines;
-  for (auto& [name, lines] : lexed.macro_use_lines) {
-    out.macro_use_lines[name].insert(lines.begin(), lines.end());
-  }
-
   auto tail_unit = [&] {
     StageTimer timer(Stage::kParse);
-    Parser parser(std::move(lexed.tokens), out.diags);
+    Parser parser(std::move(tokens), out.diags);
     return parser.parse();
   }();
-  if (!tail_unit) return out;
+  if (!tail_unit) return std::nullopt;
   bool needs_whole_unit = false;
   bool checked = [&] {
     StageTimer timer(Stage::kTypecheck);
@@ -156,136 +168,56 @@ SplicedProgram compile_tail(const PreparedPrefix& prefix,
   if (needs_whole_unit) {
     // A tail declaration shadows a prefix symbol in a way whose diagnostics
     // (or acceptance) only whole-unit checking reproduces.
-    SplicedProgram whole = spliced_from_whole_unit(prefix, tail);
-    whole.whole_unit_fallback = true;
-    return whole;
+    out = spliced_from_whole_unit(prefix, tail);
+    return std::nullopt;
   }
-  if (!checked) return out;
+  if (!checked) return std::nullopt;
 
   try {
     StageTimer timer(Stage::kSplice);
     out.module = std::make_shared<bytecode::Module>(
-        bytecode::compile_tail_unit(cp.segment, cp.unit, *tail_unit));
+        bytecode::compile_tail_unit(cp.segment, cp.unit, *tail_unit, patch));
   } catch (const Fault& f) {
     out.internal_error = f.message;
+    return std::nullopt;
   }
+  return tail_unit;
+}
+
+}  // namespace
+
+SplicedProgram compile_tail(const PreparedPrefix& prefix,
+                            const std::string& tail) {
+  if (!prefix.compiled) return spliced_from_whole_unit(prefix, tail);
+  SplicedProgram out;
+  LexOutput lexed = lex_tail(prefix, tail, out.diags);
+  if (out.diags.has_errors()) return out;
+  out.macro_use_lines = merged_macro_uses(prefix, lexed);
+  (void)splice_tail(prefix, tail, std::move(lexed.tokens), out, nullptr);
   return out;
 }
 
 RecordedTail compile_tail_recording(const PreparedPrefix& prefix,
                                     const std::string& tail,
                                     const std::vector<SiteSpan>& site_spans) {
-  if (!prefix.compiled) {
-    throw std::logic_error(
-        "compile_tail_recording: prefix has no stage-1 cache (prepare_prefix "
-        "failed or the prefix is not self-contained)");
-  }
-  const CompiledPrefix& cp = *prefix.compiled;
   RecordedTail out;
   SplicedProgram& sp = out.spliced;
-  support::SourceBuffer buf(prefix.name, tail);
-  LexOptions options;
-  options.seed_macros = &prefix.macros;
-  options.line_offset = prefix.lines;
-  options.site_spans = &site_spans;
-  LexOutput lexed = [&] {
-    StageTimer timer(Stage::kLex);
-    return lex_unit(buf, sp.diags, options);
-  }();
-  if (sp.diags.has_errors()) return out;
-
-  sp.macro_use_lines = prefix.macro_use_lines;
-  for (auto& [name, lines] : lexed.macro_use_lines) {
-    sp.macro_use_lines[name].insert(lines.begin(), lines.end());
+  if (!prefix.compiled) {
+    sp = spliced_from_whole_unit(prefix, tail);
+    return out;
   }
+  LexOutput lexed = lex_tail(prefix, tail, sp.diags, &site_spans);
+  if (sp.diags.has_errors()) return out;
+  sp.macro_use_lines = merged_macro_uses(prefix, lexed);
   out.tail_macro_use_lines = lexed.macro_use_lines;
   out.macros = prefix.macros;
   for (auto& [name, body] : lexed.macros) out.macros[name] = body;
   out.tokens = lexed.tokens;  // the fast dedup-key path reuses these
-
-  auto tail_unit = [&] {
-    StageTimer timer(Stage::kParse);
-    Parser parser(std::move(lexed.tokens), sp.diags);
-    return parser.parse();
-  }();
-  if (!tail_unit) return out;
-  bool needs_whole_unit = false;
-  bool checked = [&] {
-    StageTimer timer(Stage::kTypecheck);
-    return typecheck_tail(*tail_unit, cp.symbols, sp.diags, &needs_whole_unit);
-  }();
-  if (needs_whole_unit) {
-    out.spliced = spliced_from_whole_unit(prefix, tail);
-    out.spliced.whole_unit_fallback = true;
-    return out;
+  if (auto unit = splice_tail(prefix, tail, std::move(lexed.tokens), sp,
+                              &out.patch)) {
+    out.tail_unit = std::make_unique<Unit>(std::move(*unit));
   }
-  if (!checked) return out;
-
-  try {
-    StageTimer timer(Stage::kSplice);
-    sp.module = std::make_shared<bytecode::Module>(bytecode::compile_tail_unit(
-        cp.segment, cp.unit, *tail_unit, &out.patch));
-  } catch (const Fault& f) {
-    sp.internal_error = f.message;
-    return out;
-  }
-  out.tail_unit = std::make_unique<Unit>(std::move(*tail_unit));
   return out;
-}
-
-CheckedTail check_tail(const PreparedPrefix& prefix, const std::string& tail) {
-  if (!prefix.compiled) {
-    throw std::logic_error(
-        "check_tail: prefix has no stage-1 cache (prepare_prefix failed or "
-        "the prefix is not self-contained)");
-  }
-  const CompiledPrefix& cp = *prefix.compiled;
-  CheckedTail out;
-  support::SourceBuffer buf(prefix.name, tail);
-  LexOptions options;
-  options.seed_macros = &prefix.macros;
-  options.line_offset = prefix.lines;
-  LexOutput lexed = [&] {
-    StageTimer timer(Stage::kLex);
-    return lex_unit(buf, out.diags, options);
-  }();
-  if (out.diags.has_errors()) return out;
-
-  out.macro_use_lines = prefix.macro_use_lines;
-  for (auto& [name, lines] : lexed.macro_use_lines) {
-    out.macro_use_lines[name].insert(lines.begin(), lines.end());
-  }
-
-  auto tail_unit = [&] {
-    StageTimer timer(Stage::kParse);
-    Parser parser(std::move(lexed.tokens), out.diags);
-    return parser.parse();
-  }();
-  if (!tail_unit) return out;
-  bool needs_whole_unit = false;
-  bool checked = [&] {
-    StageTimer timer(Stage::kTypecheck);
-    return typecheck_tail(*tail_unit, cp.symbols, out.diags, &needs_whole_unit);
-  }();
-  if (needs_whole_unit) {
-    out.whole_unit_fallback = true;
-    return out;
-  }
-  if (!checked) return out;
-  out.unit = std::make_unique<Unit>(std::move(*tail_unit));
-  return out;
-}
-
-RunOutcome run_tail_unit(const PreparedPrefix& prefix, const Unit& tail_unit,
-                         IoEnvironment& io, const std::string& entry,
-                         uint64_t step_budget, uint64_t watchdog_ms) {
-  if (!prefix.compiled) {
-    throw std::logic_error("run_tail_unit: prefix has no stage-1 cache");
-  }
-  StageTimer timer(Stage::kBoot);
-  Interp interp(prefix.compiled->unit, tail_unit, io, step_budget);
-  interp.set_watchdog_ms(watchdog_ms);
-  return interp.run(entry);
 }
 
 RunOutcome run_module(const bytecode::Module& module, IoEnvironment& io,
@@ -301,14 +233,7 @@ RunOutcome run_module(const bytecode::Module& module, IoEnvironment& io,
 Program compile_with_prefix(const PreparedPrefix& prefix,
                             const std::string& tail) {
   Program prog;
-  support::SourceBuffer buf(prefix.name, tail);
-  LexOptions options;
-  options.seed_macros = &prefix.macros;
-  options.line_offset = prefix.lines;
-  LexOutput lexed = [&] {
-    StageTimer timer(Stage::kLex);
-    return lex_unit(buf, prog.diags, options);
-  }();
+  LexOutput lexed = lex_tail(prefix, tail, prog.diags);
   if (prog.diags.has_errors()) return prog;
 
   std::vector<Token> tokens;
@@ -316,12 +241,7 @@ Program compile_with_prefix(const PreparedPrefix& prefix,
   tokens.insert(tokens.end(), prefix.tokens.begin(), prefix.tokens.end());
   tokens.insert(tokens.end(), std::make_move_iterator(lexed.tokens.begin()),
                 std::make_move_iterator(lexed.tokens.end()));
-
-  auto macro_uses = prefix.macro_use_lines;
-  for (auto& [name, lines] : lexed.macro_use_lines) {
-    macro_uses[name].insert(lines.begin(), lines.end());
-  }
-  finish_compile(prog, std::move(tokens), std::move(macro_uses));
+  finish_compile(prog, std::move(tokens), merged_macro_uses(prefix, lexed));
   return prog;
 }
 

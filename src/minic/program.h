@@ -79,13 +79,13 @@ enum class ExecEngine {
 // The result is byte-identical — diagnostics, fault kind/message, return
 // value, step count, coverage, log — to `compile(name, prefix_text + tail)`
 // followed by `run_unit`; a differential ctest suite enforces this. When the
-// tail collides with prefix symbols in ways only whole-unit checking
-// reports, `compile_tail` internally falls back to the token-splice
-// `compile_with_prefix` path.
+// prefix has no stage-1 cache, or the tail collides with prefix symbols in
+// ways only whole-unit checking reports, `compile_tail` internally falls
+// back to the token-splice `compile_with_prefix` path.
 //
-// The token-level splice (`compile_with_prefix`) remains the whole-unit
-// path: it produces a full `Program` for the tree-walker oracle and for the
-// fallback, re-lexing only the tail but re-parsing/re-checking everything.
+// The token-level splice (`compile_with_prefix`) is the whole-unit path: it
+// produces a full `Program` for the tree-walker oracle and for the fallback,
+// re-lexing only the tail but re-parsing/re-checking everything.
 // ---------------------------------------------------------------------------
 
 /// The fully compiled invariant prefix: parsed decls, their symbol snapshot
@@ -108,7 +108,7 @@ struct PreparedPrefix {
   std::map<std::string, std::set<uint32_t>> macro_use_lines;
   support::DiagnosticEngine diags;
   /// Stage-1 compile cache. Null when the prefix is not a self-contained
-  /// clean unit (then only the token-level splice is available).
+  /// clean unit (then `compile_tail` compiles whole units).
   std::shared_ptr<const CompiledPrefix> compiled;
 
   [[nodiscard]] bool ok() const { return !diags.has_errors(); }
@@ -137,17 +137,17 @@ struct SplicedProgram {
   /// (minic::Fault{kInternal}); the caller must surface a kInternal
   /// outcome, exactly as `run_unit` does for whole-unit lowering faults.
   std::string internal_error;
-  /// True when the tail collided with prefix symbols and this result came
-  /// from the whole-unit fallback instead of the cached segment (the
-  /// campaigns count real cache hits from this).
+  /// True when this result came from the whole-unit fallback instead of the
+  /// cached segment (no stage-1 cache, or a tail/prefix symbol collision);
+  /// the campaigns count real cache hits from this.
   bool whole_unit_fallback = false;
 
   [[nodiscard]] bool ok() const { return module != nullptr; }
 };
 
-/// Stages 2+3: compiles only `tail` against `prefix.compiled` (which must be
-/// non-null) and splices the cached segment. See the pipeline comment above
-/// for the equivalence guarantee.
+/// Stages 2+3: compiles only `tail` against `prefix.compiled` and splices
+/// the cached segment, or compiles the whole unit when that cannot match it.
+/// See the pipeline comment above for the equivalence guarantee.
 [[nodiscard]] SplicedProgram compile_tail(const PreparedPrefix& prefix,
                                           const std::string& tail);
 
@@ -176,36 +176,6 @@ struct RecordedTail {
 [[nodiscard]] RecordedTail compile_tail_recording(
     const PreparedPrefix& prefix, const std::string& tail,
     const std::vector<SiteSpan>& site_spans);
-
-/// Tail-only front end for the tree-walker oracle: lexes, parses and
-/// typechecks ONLY `tail` against the cached prefix symbols, yielding a unit
-/// the layered walker (`run_tail_unit`) executes on top of the prefix's
-/// already-typechecked declarations. Symbol collisions that only whole-unit
-/// checking reproduces set `whole_unit_fallback`; callers then compile via
-/// `compile_with_prefix` + `run_unit`, mirroring the VM path's fallback.
-struct CheckedTail {
-  support::DiagnosticEngine diags;
-  std::unique_ptr<Unit> unit;  // typechecked tail; null when checking failed
-  std::map<std::string, std::set<uint32_t>> macro_use_lines;
-  bool whole_unit_fallback = false;
-
-  [[nodiscard]] bool ok() const { return unit != nullptr; }
-};
-
-[[nodiscard]] CheckedTail check_tail(const PreparedPrefix& prefix,
-                                     const std::string& tail);
-
-/// Runs `entry` on the tree walker layered over the prefix cache: the
-/// interpreter resolves functions, globals and structs against the prefix's
-/// typechecked unit first, then the tail — observationally identical to
-/// whole-unit walking of `prefix + tail` (ctest-enforced). `prefix.compiled`
-/// must be non-null and must outlive the call.
-[[nodiscard]] RunOutcome run_tail_unit(const PreparedPrefix& prefix,
-                                       const Unit& tail_unit,
-                                       IoEnvironment& io,
-                                       const std::string& entry,
-                                       uint64_t step_budget = 2'000'000,
-                                       uint64_t watchdog_ms = 0);
 
 /// Runs `entry` in a spliced module on the bytecode VM. The walker has no
 /// module form — use `run_unit` with a whole-unit Program for the oracle.

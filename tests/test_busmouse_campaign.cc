@@ -224,13 +224,10 @@ void campaign_matrix(eval::DriverCampaignConfig cfg, const std::string& label) {
   cfg.engine = minic::ExecEngine::kTreeWalker;
   auto walker = eval::run_driver_campaign(cfg);
   expect_identical(base, walker, label + " vm vs walker");
-  EXPECT_EQ(walker.prefix_cache_hits, 0u) << label;  // walker compiles whole
-
-  cfg.engine = minic::ExecEngine::kBytecodeVm;
-  cfg.prefix_cache = false;
-  auto plain = eval::run_driver_campaign(cfg);
-  expect_identical(base, plain, label + " cache on vs off");
-  EXPECT_EQ(plain.prefix_cache_hits, 0u) << label;
+  // The walker compiles whole units and never builds a patcher.
+  EXPECT_EQ(walker.prefix_cache_hits, 0u) << label;
+  EXPECT_EQ(walker.patch_hits, 0u) << label;
+  EXPECT_EQ(walker.patch_fallbacks, 0u) << label;
   // The counters prove the fast path served every unique compile.
   EXPECT_GT(base.prefix_cache_hits, 0u) << label;
   EXPECT_EQ(base.prefix_cache_hits,

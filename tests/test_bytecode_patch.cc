@@ -344,22 +344,4 @@ TEST(BytecodePatch, PatchedBootsOnRecycledDevicesAreBitIdentical) {
   EXPECT_GT(first.patch_hits, 0u);
 }
 
-// The tree-walker oracle layered over the prepared prefix must match the
-// whole-unit walker exactly; walker campaigns never build a patcher, so the
-// patch counters stay zero either way.
-TEST(BytecodePatch, WalkerPrefixReuseMatchesWholeUnitWalker) {
-  for (bool cdevil : {false, true}) {
-    SCOPED_TRACE(cdevil ? "CDevil" : "C");
-    auto cfg = patch_config(drivers_for("busmouse"), cdevil);
-    cfg.engine = minic::ExecEngine::kTreeWalker;
-    cfg.threads = 2;
-    auto layered = eval::run_driver_campaign(cfg);
-    cfg.prefix_cache = false;
-    auto whole = eval::run_driver_campaign(cfg);
-    expect_identical(layered, whole);
-    EXPECT_EQ(layered.patch_hits, 0u);
-    EXPECT_EQ(layered.patch_fallbacks, 0u);
-  }
-}
-
 }  // namespace

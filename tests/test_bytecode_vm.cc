@@ -451,6 +451,18 @@ void expect_identical_campaigns(const eval::DriverCampaignResult& a,
       << label;
 }
 
+/// The counters prove which compile path each engine took: the VM compiles
+/// every unique mutant through the compiled-prefix cache (a patched boot
+/// counts as one), the walker compiles whole units.
+void expect_cache_counters(const eval::DriverCampaignResult& vm,
+                           const eval::DriverCampaignResult& walker,
+                           const std::string& label) {
+  EXPECT_GT(vm.prefix_cache_hits, 0u) << label;
+  EXPECT_EQ(vm.prefix_cache_hits, vm.sampled_mutants - vm.deduped_mutants)
+      << label;
+  EXPECT_EQ(walker.prefix_cache_hits, 0u) << label;
+}
+
 TEST(CampaignEngines, CDriverByteIdenticalAcrossEnginesAndThreads) {
   eval::DriverCampaignConfig cfg;
   cfg.driver = corpus::c_ide_driver();
@@ -462,8 +474,9 @@ TEST(CampaignEngines, CDriverByteIdenticalAcrossEnginesAndThreads) {
     auto vm = eval::run_driver_campaign(cfg);
     cfg.engine = minic::ExecEngine::kTreeWalker;
     auto walker = eval::run_driver_campaign(cfg);
-    expect_identical_campaigns(walker, vm,
-                               "c threads=" + std::to_string(threads));
+    const std::string label = "c threads=" + std::to_string(threads);
+    expect_identical_campaigns(walker, vm, label);
+    expect_cache_counters(vm, walker, label);
   }
 }
 
@@ -483,8 +496,9 @@ TEST(CampaignEngines, CDevilByteIdenticalAcrossEnginesAndThreads) {
     auto vm = eval::run_driver_campaign(cfg);
     cfg.engine = minic::ExecEngine::kTreeWalker;
     auto walker = eval::run_driver_campaign(cfg);
-    expect_identical_campaigns(walker, vm,
-                               "cdevil threads=" + std::to_string(threads));
+    const std::string label = "cdevil threads=" + std::to_string(threads);
+    expect_identical_campaigns(walker, vm, label);
+    expect_cache_counters(vm, walker, label);
   }
 }
 

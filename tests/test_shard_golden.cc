@@ -1,8 +1,9 @@
-// Golden shard artifacts. The serialized bytes of three shard bundle sets
+// Golden shard artifacts. The serialized bytes of four shard bundle sets
 // are pinned by fnv128 digest: a 2-shard busmouse C+CDevil bundle with the
 // flight recorder on, the same bundle with dedup off (so records carry no
-// `key` field), and a 2-shard busmouse-irq fault bundle with the recorder
-// on. The digests were recorded before the mutation and fault shard paths
+// `key` field), the same bundle on the tree walker, and a 2-shard
+// busmouse-irq fault bundle with the recorder on. The first, second and
+// fourth digests were recorded before the mutation and fault shard paths
 // were folded into one, so any change to a field, its order, its omission
 // rule or a record in either artifact kind shows up here. Process metrics
 // are left out: they are timings.
@@ -75,6 +76,17 @@ TEST(ShardGolden, BusmouseMutationBundleWithoutDedup) {
   EXPECT_EQ(shard_digests(spec, "busmouse"),
             (std::vector<std::string>{"861b056b4c0b8aced4ead8374d697dac",
                                       "c90fb7d5be40b48b835f13a738266f1c"}));
+}
+
+// The walker's fingerprint folds a constant where the removed
+// compiled-prefix cache flag was; its digests were recorded while that flag
+// still existed.
+TEST(ShardGolden, BusmouseWalkerMutationBundleWithFlightRecorder) {
+  eval::CampaignSpec spec = recorder_spec(eval::CampaignKind::kDriver);
+  spec.engine = minic::ExecEngine::kTreeWalker;
+  EXPECT_EQ(shard_digests(spec, "busmouse"),
+            (std::vector<std::string>{"8e374df74d80c050dd426c263e7533d0",
+                                      "a272603eb46dec88b406a225e0dbe8f5"}));
 }
 
 TEST(ShardGolden, BusmouseIrqFaultBundleWithFlightRecorder) {
