@@ -233,6 +233,7 @@ ProcessMetrics capture_process_metrics(uint64_t threads, uint64_t wall_ns) {
   pm.watchdog_trips = snap.watchdog_trips;
   pm.hang_proofs = snap.hang_proofs;
   pm.hang_steps_skipped = snap.hang_steps_skipped;
+  pm.hang_burns = snap.hang_burns;
   pm.fault_boots_skipped = snap.fault_boots_skipped;
   pm.worker_records = snap.worker_records;
   return pm;
@@ -255,6 +256,9 @@ support::JsonValue process_metrics_to_json(const ProcessMetrics& pm) {
   t.set("watchdog_trips", pm.watchdog_trips);
   t.set("hang_proofs", pm.hang_proofs);
   t.set("hang_steps_skipped", pm.hang_steps_skipped);
+  // Omitted at zero, so artifacts written before the counter existed read
+  // back (and re-serialize) unchanged.
+  if (pm.hang_burns != 0) t.set("hang_burns", pm.hang_burns);
   t.set("fault_boots_skipped", pm.fault_boots_skipped);
   t.set("worker_records", histogram_to_json(pm.worker_records));
   return t;
@@ -279,6 +283,7 @@ ProcessMetrics process_metrics_from_json(const support::JsonValue& v,
   in.field("watchdog_trips", pm.watchdog_trips);
   in.field("hang_proofs", pm.hang_proofs);
   in.field("hang_steps_skipped", pm.hang_steps_skipped);
+  in.optional("hang_burns", pm.hang_burns);
   in.field("fault_boots_skipped", pm.fault_boots_skipped);
   pm.worker_records = histogram_from_json(in.require("worker_records"),
                                           ctx + " worker_records");
@@ -297,6 +302,7 @@ void merge_process_metrics(ProcessMetrics& into, const ProcessMetrics& from) {
   into.watchdog_trips += from.watchdog_trips;
   into.hang_proofs += from.hang_proofs;
   into.hang_steps_skipped += from.hang_steps_skipped;
+  into.hang_burns += from.hang_burns;
   into.fault_boots_skipped += from.fault_boots_skipped;
   into.worker_records.merge(from.worker_records);
 }

@@ -80,11 +80,13 @@ struct ProcessMetrics {
   /// Boots killed by the wall-clock watchdog — host-speed dependent, hence
   /// a timing counter and never part of the deterministic section.
   uint64_t watchdog_trips = 0;
-  /// Hangs the bytecode VM proved by exact state repeat, and the budget
-  /// steps the proofs skipped. Whether a proof fires never changes a
-  /// record, so these are timing telemetry too.
+  /// Hangs the bytecode VM proved (exact state repeat or affine lasso), the
+  /// budget steps the proofs skipped, and the VM boots that burned their
+  /// budget unproved. Whether a proof fires never changes a record, so
+  /// these are timing telemetry too.
   uint64_t hang_proofs = 0;
   uint64_t hang_steps_skipped = 0;
+  uint64_t hang_burns = 0;
   /// Fault scenarios classified from the baseline census without a boot.
   uint64_t fault_boots_skipped = 0;
   support::Histogram worker_records;

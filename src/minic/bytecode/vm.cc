@@ -132,8 +132,9 @@ void Vm::check_watchdog() {
 }
 
 bool Vm::capture_state(const CompiledFunction* fn, size_t pc,
-                       const RunOutcome& out,
-                       support::StateCapture& cap) const {
+                       const RunOutcome& out, support::StateCapture& cap,
+                       size_t* vm_words,
+                       std::vector<LassoWord>* ints) const {
   // Outside IRQ handlers only one exec level is live, so frame k belongs to
   // calls_[k].fn and the last frame to `fn`.
   if (frames_.size() != calls_.size() + 1) return false;
@@ -141,6 +142,12 @@ bool Vm::capture_state(const CompiledFunction* fn, size_t pc,
   cap.put(reinterpret_cast<uintptr_t>(fn));
   cap.put(pc);
   cap.put(static_cast<uint64_t>(depth_));
+  if (ints) ints->clear();
+  auto put_int = [&](const VmValue& v, IntLoc loc) {
+    if (ints) ints->push_back(LassoWord{cap.size(), loc, 0});
+    put_value(cap, v);
+  };
+  if (ints) ints->push_back(LassoWord{cap.size(), IntLoc{}, 0});
   cap.put(static_cast<uint64_t>(stored_));
   // The log only grows, so equal lengths mean nothing was printed in
   // between; a loop that prints never repeats.
@@ -157,23 +164,30 @@ bool Vm::capture_state(const CompiledFunction* fn, size_t pc,
     }
     // Only the function's own registers: a pooled frame may be longer, and
     // its tail is never read.
-    for (uint32_t r = 0; r < f->nregs; ++r) put_value(cap, frames_[k][r]);
+    for (uint32_t r = 0; r < f->nregs; ++r) {
+      put_int(frames_[k][r], IntLoc{static_cast<int32_t>(k), r});
+    }
   }
-  for (const VmValue& g : globals_) put_value(cap, g);
+  for (size_t g = 0; g < globals_.size(); ++g) {
+    put_int(globals_[g], IntLoc{IntLoc::kGlobal, static_cast<uint32_t>(g)});
+  }
+  if (vm_words) *vm_words = cap.size();
   return io_.capture_state(cap);
 }
 
-void Vm::hang_probe(const CompiledFunction* fn, size_t pc,
+bool Vm::hang_probe(const CompiledFunction* fn, size_t pc,
                     const RunOutcome& out) {
-  if (in_irq_) return;
-  if (!capture_state(fn, pc, out, hang_scratch_)) {
+  if (in_irq_) return false;
+  size_t vm_words = 0;
+  if (!capture_state(fn, pc, out, hang_scratch_, &vm_words)) {
     // Not capturable now (e.g. an IRQ event is queued): restart the search
     // another warm-up later.
     hang_have_saved_ = false;
     hang_power_ = 1;
+    lasso_wait_ = 0;
     probe_below_ =
         steps_left_ > kHangWarmupSteps ? steps_left_ - kHangWarmupSteps : 0;
-    return;
+    return false;
   }
   if (hang_have_saved_ && hang_scratch_ == hang_saved_) {
     // Every loop iteration charges, so the period is never 0.
@@ -181,24 +195,361 @@ void Vm::hang_probe(const CompiledFunction* fn, size_t pc,
     const uint64_t before = steps_left_;
     steps_left_ %= period;
     probe_below_ = 0;
-    support::Metrics::add_hang_proof(before - steps_left_);
-    return;
+    hang_proved_ = true;
+    hang_skipped_ += before - steps_left_;
+    return false;
   }
-  if (hang_have_saved_ && ++hang_lam_ < hang_power_) return;
+  if (lasso_wait_ > 0) {
+    // A candidate waits for its third capture, one period after its second.
+    if (--lasso_wait_ == 0 &&
+        lasso_last_left_ - steps_left_ == lasso_period_ &&
+        lasso_step(lasso_last_, hang_scratch_)) {
+      lasso_begin();
+      return true;
+    }
+  } else if (hang_have_saved_ && lasso_tries_ < kLassoMaxTries &&
+             lasso_candidate(fn, pc, out, vm_words)) {
+    ++lasso_tries_;
+    lasso_period_ = hang_saved_left_ - steps_left_;
+    lasso_edges_ = hang_lam_ + 1;
+    lasso_wait_ = lasso_edges_;
+    // lasso_candidate recaptured this very state into lasso_last_.
+    lasso_last_left_ = steps_left_;
+  }
+  if (hang_have_saved_ && ++hang_lam_ < hang_power_) return false;
   if (hang_have_saved_) {
     hang_power_ *= 2;
     if (hang_power_ > kHangMaxPower) {
       probe_below_ = 0;  // no repeat found: burn the budget
-      return;
+      return false;
     }
   }
   hang_saved_.swap(hang_scratch_);
   hang_saved_left_ = steps_left_;
   hang_have_saved_ = true;
   hang_lam_ = 0;
+  return false;
 }
 
-template <bool kProfile>
+bool Vm::lasso_candidate(const CompiledFunction* fn, size_t pc,
+                         const RunOutcome& out, size_t vm_words) {
+  const support::StateCapture& a = hang_saved_;
+  const support::StateCapture& b = hang_scratch_;
+  // Words 0 and 1 are the loop head (function, pc).
+  if (a.size() != b.size() || a[0] != b[0] || a[1] != b[1]) return false;
+  std::array<size_t, kLassoMaxWords> diff{};
+  size_t n = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] == b[i]) continue;
+    // Device words and anything past kLassoMaxWords decline at once.
+    if (i >= vm_words || n == kLassoMaxWords) return false;
+    diff[n++] = i;
+  }
+  // The state has not moved since hang_scratch_ was taken: recapturing
+  // lists where its integer words sit.
+  if (!capture_state(fn, pc, out, lasso_last_, nullptr, &lasso_ints_)) {
+    return false;
+  }
+  lasso_words_.clear();
+  auto it = lasso_ints_.begin();
+  for (size_t k = 0; k < n; ++k) {
+    it = std::lower_bound(it, lasso_ints_.end(), diff[k],
+                          [](const LassoWord& w, size_t at) {
+                            return w.word < at;
+                          });
+    if (it == lasso_ints_.end() || it->word != diff[k]) return false;
+    lasso_words_.push_back(LassoWord{
+        diff[k], it->loc, static_cast<int64_t>(b[diff[k]] - a[diff[k]])});
+  }
+  return true;
+}
+
+bool Vm::lasso_step(const support::StateCapture& from,
+                    const support::StateCapture& to) const {
+  if (from.size() != to.size()) return false;
+  size_t next = 0;
+  for (size_t i = 0; i < from.size(); ++i) {
+    uint64_t want = from[i];
+    if (next < lasso_words_.size() && lasso_words_[next].word == i) {
+      want += static_cast<uint64_t>(lasso_words_[next++].delta);
+    }
+    if (to[i] != want) return false;
+  }
+  return true;
+}
+
+int64_t& Vm::int_at(const IntLoc& loc) {
+  if (loc.frame == IntLoc::kStored) return stored_;
+  if (loc.frame == IntLoc::kGlobal) return globals_[loc.index].i;
+  return frames_[static_cast<size_t>(loc.frame)][loc.index].i;
+}
+
+Vm::Taint& Vm::taint_at(const IntLoc& loc) {
+  if (loc.frame == IntLoc::kStored) return lasso_stored_;
+  if (loc.frame == IntLoc::kGlobal) return lasso_globals_[loc.index];
+  return lasso_regs_[static_cast<size_t>(loc.frame)][loc.index];
+}
+
+void Vm::lasso_begin() {
+  lasso_last_.swap(hang_scratch_);
+  lasso_last_left_ = steps_left_;
+  lasso_wait_ = lasso_edges_;
+  lasso_ok_ = true;
+  lasso_bounds_.clear();
+  lasso_regs_.resize(frames_.size());
+  for (size_t k = 0; k < frames_.size(); ++k) {
+    lasso_regs_[k].assign(frames_[k].size(), Taint{});
+  }
+  lasso_globals_.assign(globals_.size(), Taint{});
+  lasso_stored_ = Taint{};
+  for (size_t j = 0; j < lasso_words_.size(); ++j) {
+    taint_at(lasso_words_[j].loc) = Taint{static_cast<int32_t>(j), 0};
+  }
+}
+
+void Vm::lasso_track(const Insn& in, const VmValue* R) {
+  std::vector<Taint>& T = lasso_regs_.back();
+  Taint* G = lasso_globals_.data();
+  // A read that is not an affine update ends the proof.
+  auto read = [&](uint16_t r) {
+    if (T[r].src >= 0) lasso_ok_ = false;
+  };
+  // An integer store through coercion `pack`: the value keeps its taint,
+  // and the coercion must not wrap in a skipped period.
+  auto coerced = [&](Taint t, uint8_t pack) {
+    if (t.src >= 0) lasso_bounds_.push_back(LassoBound{t.src, t.off, pack});
+    return t;
+  };
+  // `t <op> imm`, affine only for add and subtract.
+  auto plus = [&](Taint t, Tok op, int64_t imm) {
+    if (t.src < 0) return t;
+    if ((op != Tok::kPlus && op != Tok::kMinus) ||
+        (op == Tok::kPlus ? __builtin_add_overflow(t.off, imm, &t.off)
+                          : __builtin_sub_overflow(t.off, imm, &t.off))) {
+      lasso_ok_ = false;
+      return Taint{};
+    }
+    return t;
+  };
+  auto read_args = [&]() {
+    for (int64_t i = 0; i < in.imm; ++i) read(static_cast<uint16_t>(in.c + i));
+  };
+  switch (in.op) {
+    case Op::kStep: case Op::kStepMark: case Op::kStepStepMark:
+    case Op::kStepJump: case Op::kMark: case Op::kJump:
+    case Op::kCopyStr: case Op::kCopyStruct:
+    case Op::kStoreLocalStr: case Op::kStoreGlobalStr:
+    case Op::kStoreLocalStruct: case Op::kStoreGlobalStruct:
+    case Op::kStoreFieldLocalStr: case Op::kStoreFieldGlobalStr:
+    case Op::kStoreFieldLocalStruct: case Op::kStoreFieldGlobalStruct:
+    case Op::kStoreLocalStrF: case Op::kStoreLocalStructF:
+    case Op::kStoreGlobalStrF: case Op::kStoreGlobalStructF:
+    case Op::kStoreGFieldStrF: case Op::kStoreGFieldStructF:
+    case Op::kDeclArr: case Op::kInitGlobalArr:
+    case Op::kDilEqStructJump: case Op::kPanic: case Op::kUnreachable:
+      break;  // no integer word read or written
+    case Op::kJumpIfZero: case Op::kJumpIfNotZero: case Op::kCondJumpZero:
+    case Op::kUdelay: case Op::kPrintk:
+      read(in.a);
+      break;
+    case Op::kJumpIfEqual: case Op::kOut: case Op::kRequestIrq:
+      read(in.a);
+      read(in.b);
+      break;
+    case Op::kBinJump: case Op::kDilEqIntJump:
+      read(in.b);
+      read(in.c);
+      break;
+    case Op::kBinImmJump:
+      read(in.b);
+      break;
+    case Op::kCaseTest:
+      read(in.a);
+      T[in.b] = Taint{};
+      break;
+    case Op::kAndJump:
+    case Op::kOrJump:
+      read(in.b);
+      if ((R[in.b].i == 0) == (in.op == Op::kAndJump)) T[in.a] = Taint{};
+      break;
+    case Op::kLoadConst: case Op::kLoadStr: case Op::kMoveStr:
+    case Op::kMoveStruct: case Op::kLoadGlobalStr: case Op::kLoadGlobalStruct:
+    case Op::kGetFieldInt: case Op::kGetFieldStr: case Op::kGetFieldStruct:
+    case Op::kInConstAnd: case Op::kPollInAnd: case Op::kInConst:
+    case Op::kDeclIntZ: case Op::kDeclStrZ: case Op::kDeclStructZ:
+    case Op::kDilEqStruct: case Op::kDilValStruct:
+      T[in.a] = Taint{};
+      break;
+    case Op::kBoolNorm: case Op::kNeg: case Op::kBitNot: case Op::kLogNot:
+    case Op::kBinImm: case Op::kCoerce: case Op::kIn: case Op::kDilValInt:
+      read(in.b);
+      T[in.a] = Taint{};
+      break;
+    case Op::kLoadElemLocal: case Op::kLoadElemGlobal:
+      read(in.c);
+      T[in.a] = Taint{};
+      break;
+    case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv: case Op::kMod:
+    case Op::kBitAnd: case Op::kBitOr: case Op::kBitXor: case Op::kShl:
+    case Op::kShr: case Op::kCmpEq: case Op::kCmpNe: case Op::kCmpLt:
+    case Op::kCmpGt: case Op::kCmpLe: case Op::kCmpGe: case Op::kStrcmp:
+    case Op::kDilEqInt:
+      read(in.b);
+      read(in.c);
+      T[in.a] = Taint{};
+      break;
+    // --- the affine updates -------------------------------------------------
+    case Op::kMoveInt: case Op::kCopyInt:
+      T[in.a] = T[in.b];
+      break;
+    case Op::kLoadGlobalInt:
+      T[in.a] = G[in.b];
+      break;
+    case Op::kTakeStored:
+      T[in.a] = lasso_stored_;
+      break;
+    case Op::kStoreLocalInt:
+      lasso_stored_ = T[in.a] = coerced(T[in.b], in.w);
+      break;
+    case Op::kStoreGlobalInt:
+      lasso_stored_ = G[in.a] = coerced(T[in.b], in.w);
+      break;
+    case Op::kStoreLocalIntF:
+      T[in.a] = coerced(T[in.b], in.w);
+      break;
+    case Op::kStoreGlobalIntF:
+      G[in.a] = coerced(T[in.b], in.w);
+      break;
+    case Op::kOpStoreLocalImm:
+      lasso_stored_ = T[in.a] =
+          coerced(plus(T[in.a], static_cast<Tok>(in.c), in.imm), in.w);
+      break;
+    case Op::kOpStoreGlobalImm:
+      lasso_stored_ = G[in.a] =
+          coerced(plus(G[in.a], static_cast<Tok>(in.c), in.imm), in.w);
+      break;
+    case Op::kStoreSlotBinImm:
+      lasso_stored_ = T[in.a] =
+          coerced(plus(T[in.b], static_cast<Tok>(in.w), in.imm),
+                  static_cast<uint8_t>(in.c));
+      break;
+    // --- stores that read a tainted word decline ----------------------------
+    case Op::kOpStoreLocal:
+      read(in.a);
+      read(in.b);
+      lasso_stored_ = T[in.a] = Taint{};
+      break;
+    case Op::kOpStoreGlobal:
+      if (G[in.a].src >= 0) lasso_ok_ = false;
+      read(in.b);
+      lasso_stored_ = G[in.a] = Taint{};
+      break;
+    case Op::kStoreElemLocal: case Op::kStoreElemGlobal:
+    case Op::kOpStoreElemLocal: case Op::kOpStoreElemGlobal:
+      read(in.b);
+      read(in.c);
+      lasso_stored_ = Taint{};
+      break;
+    case Op::kStoreFieldLocalInt: case Op::kStoreFieldGlobalInt:
+    case Op::kOpStoreFieldLocal: case Op::kOpStoreFieldGlobal:
+      read(in.c);
+      lasso_stored_ = Taint{};
+      break;
+    case Op::kStoreGFieldIntF:
+      read(in.c);
+      break;
+    // --- calls: frames are mirrored where dispatch pushes and pops them -----
+    case Op::kCall:
+      read_args();
+      break;
+    case Op::kCallRetParam: case Op::kCallRetConst: case Op::kCallOutConst:
+      read_args();
+      T[in.a] = Taint{};
+      break;
+    case Op::kRet:
+      read(in.a);
+      break;
+    case Op::kRetZero:
+      break;
+  }
+}
+
+bool Vm::lasso_edge(const CompiledFunction* fn, size_t pc,
+                    const RunOutcome& out) {
+  if (lasso_ok_ && --lasso_wait_ != 0) return false;
+  lasso_finish(fn, pc, out);
+  return true;
+}
+
+void Vm::lasso_finish(const CompiledFunction* fn, size_t pc,
+                      const RunOutcome& out) {
+  lasso_wait_ = 0;
+  // The period must have ended where it began, after the same steps, with
+  // every lasso word advanced by its delta and nothing else changed.
+  if (!lasso_ok_ || lasso_last_left_ - steps_left_ != lasso_period_ ||
+      !capture_state(fn, pc, out, hang_scratch_) ||
+      !lasso_step(lasso_last_, hang_scratch_)) {
+    return;
+  }
+  // A word tainted now holds its source's value plus a constant, so the
+  // next period advances it by the source's delta: it must be a lasso word
+  // with that delta.
+  auto consistent = [&](const Taint& t, const IntLoc& loc) {
+    if (t.src < 0) return true;
+    for (const LassoWord& w : lasso_words_) {
+      if (w.loc == loc) return w.delta == lasso_words_[t.src].delta;
+    }
+    return false;
+  };
+  for (size_t k = 0; k < lasso_regs_.size(); ++k) {
+    for (size_t r = 0; r < lasso_regs_[k].size(); ++r) {
+      IntLoc loc{static_cast<int32_t>(k), static_cast<uint32_t>(r)};
+      if (!consistent(lasso_regs_[k][r], loc)) return;
+    }
+  }
+  for (size_t g = 0; g < lasso_globals_.size(); ++g) {
+    IntLoc loc{IntLoc::kGlobal, static_cast<uint32_t>(g)};
+    if (!consistent(lasso_globals_[g], loc)) return;
+  }
+  if (!consistent(lasso_stored_, IntLoc{})) return;
+  // Skip whole periods only: the last partial one runs for real, so the
+  // budget runs out on the same instruction. No coercion may have wrapped
+  // in the recorded period (its values are the next period's minus the
+  // delta), and each bounds the count at the first skipped period in
+  // which its value would leave the width.
+  __int128 k = steps_left_ / lasso_period_;
+  for (const LassoBound& b : lasso_bounds_) {
+    const int bits = b.pack & 0x7f;
+    __int128 lo = INT64_MIN;
+    __int128 hi = INT64_MAX;
+    if (bits != 0) {
+      const bool is_signed = (b.pack & 0x80) != 0;
+      lo = is_signed ? -(__int128{1} << (bits - 1)) : 0;
+      hi = (__int128{1} << (is_signed ? bits - 1 : bits)) - 1;
+    }
+    const LassoWord& src = lasso_words_[static_cast<size_t>(b.src)];
+    const __int128 v = __int128{int_at(src.loc)} + b.off;
+    const __int128 d = src.delta;
+    if (v < lo || v > hi || v - d < lo || v - d > hi) return;
+    k = std::min(k, d > 0 ? (hi - v) / d + 1 : (v - lo) / -d + 1);
+  }
+  if (k == 0) return;
+  const uint64_t periods = static_cast<uint64_t>(k);
+  for (const LassoWord& w : lasso_words_) {
+    int64_t& v = int_at(w.loc);
+    v = static_cast<int64_t>(static_cast<uint64_t>(v) +
+                             periods * static_cast<uint64_t>(w.delta));
+  }
+  steps_left_ -= periods * lasso_period_;
+  hang_proved_ = true;
+  hang_skipped_ += periods * lasso_period_;
+  // The search starts over from the advanced state.
+  hang_have_saved_ = false;
+  hang_power_ = 1;
+  hang_lam_ = 0;
+}
+
+template <Vm::Mode M>
 void Vm::poll_irqs(RunOutcome& out) {
   if (in_irq_) return;
   for (;;) {
@@ -215,13 +566,13 @@ void Vm::poll_irqs(RunOutcome& out) {
     // Recursive exec is safe mid-dispatch: the caller's register pointer
     // aims into its frame's heap buffer, which stays put when frames_
     // itself reallocates (vectors move by buffer ownership).
-    exec<kProfile>(*h, /*counts_depth=*/true, out);
+    exec<M>(*h, /*counts_depth=*/true, out);
     in_irq_ = false;
     io_.irq_end();
   }
 }
 
-template <bool kProfile>
+template <Vm::Mode M>
 VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
                  RunOutcome& out) {
   if (counts_depth && ++depth_ > kMaxCallDepth) {
@@ -230,9 +581,16 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
   }
   const size_t base_calls = calls_.size();
   push_frame(entry_fn, nullptr, 0);
-  const CompiledFunction* fn = &entry_fn;
+  if constexpr (M == Mode::kRecord) {
+    lasso_regs_.emplace_back(frames_.back().size());
+  }
+  return dispatch<M>(&entry_fn, 0, base_calls, counts_depth, out);
+}
+
+template <Vm::Mode M>
+VmValue Vm::dispatch(const CompiledFunction* fn, size_t pc,
+                     size_t base_calls, bool counts_depth, RunOutcome& out) {
   const Insn* code = fn->code.data();
-  size_t pc = 0;
   VmValue* R = frames_.back().data();
   VmValue* G = globals_.data();
 
@@ -256,19 +614,32 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
     if ((insn).flags == 0) CHARGE((insn).line); \
   } while (0)
 // A jump that may close a loop: backward targets past the warm-up feed the
-// hang search (compiled out of the profiling loop).
-#define JUMP(target)                                                  \
-  do {                                                                \
-    const size_t to = static_cast<size_t>(target);                    \
-    if constexpr (!kProfile) {                                        \
-      if (steps_left_ < probe_below_ && to < pc) hang_probe(fn, to, out); \
-    }                                                                 \
-    pc = to;                                                          \
+// hang search (compiled out of the profiling loop). A confirmed lasso
+// candidate records its next period, and the recording's last back-edge
+// resumes ordinary dispatch; both hand the rest of this exec level to the
+// other instantiation.
+#define JUMP(target)                                                        \
+  do {                                                                      \
+    const size_t to = static_cast<size_t>(target);                          \
+    if constexpr (M == Mode::kRun) {                                        \
+      if (steps_left_ < probe_below_ && to < pc && hang_probe(fn, to, out)) { \
+        return dispatch<Mode::kRecord>(fn, to, base_calls, counts_depth, out); \
+      }                                                                     \
+    } else if constexpr (M == Mode::kRecord) {                              \
+      if (to < pc && !in_irq_ && lasso_edge(fn, to, out)) {                 \
+        return dispatch<Mode::kRun>(fn, to, base_calls, counts_depth, out); \
+      }                                                                     \
+    }                                                                       \
+    pc = to;                                                                \
   } while (0)
 
   for (;;) {
     const Insn& in = code[pc++];
-    if constexpr (kProfile) ++profile_->counts[static_cast<size_t>(in.op)];
+    if constexpr (M == Mode::kProfile) {
+      ++profile_->counts[static_cast<size_t>(in.op)];
+    } else if constexpr (M == Mode::kRecord) {
+      lasso_track(in, R);
+    }
     switch (in.op) {
       // --- statement accounting ------------------------------------------
       case Op::kStep:
@@ -550,7 +921,7 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         uint64_t packed = static_cast<uint64_t>(in.imm);
         uint32_t value =
             io_.io_in(static_cast<uint32_t>(packed & 0xffffffffu), in.w);
-        poll_irqs<kProfile>(out);  // walker polls on io_in return, pre-mask
+        poll_irqs<M>(out);  // walker polls on io_in return, pre-mask
         CHARGE(in.line);
         R[in.a].i = static_cast<int64_t>(value & (packed >> 32));
         break;
@@ -759,6 +1130,9 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
                       "call depth exceeded in " + callee.name};
         }
         push_frame(callee, R, in.c);
+        if constexpr (M == Mode::kRecord) {
+          lasso_regs_.emplace_back(frames_.back().size());
+        }
         calls_.push_back(Activation{fn, pc, in.a});
         fn = &callee;
         code = fn->code.data();
@@ -809,7 +1183,7 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         io_.io_out(static_cast<uint32_t>(cc[2].imm),
                    static_cast<uint32_t>(cc[1].imm) & mask,
                    static_cast<int>(w));
-        poll_irqs<kProfile>(out);
+        poll_irqs<M>(out);
         R[in.a].i = 0;  // void result, as a real call's kRetZero returns
         break;
       }
@@ -818,6 +1192,7 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         VmValue result;
         if (in.op == Op::kRet) result = std::move(R[in.a]);
         pop_frame();
+        if constexpr (M == Mode::kRecord) lasso_regs_.pop_back();
         if (calls_.size() == base_calls) {
           if (counts_depth) --depth_;
           return result;
@@ -830,6 +1205,7 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         pc = act.pc;
         R = frames_.back().data();
         R[act.dst] = std::move(result);
+        if constexpr (M == Mode::kRecord) lasso_regs_.back()[act.dst] = {};
         break;
       }
       // --- builtins -------------------------------------------------------
@@ -837,13 +1213,13 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         CHG(in);
         R[in.a].i =
             io_.io_in(static_cast<uint32_t>(R[in.b].i), in.w);
-        poll_irqs<kProfile>(out);
+        poll_irqs<M>(out);
         break;
       case Op::kInConst:
         CHG(in);
         CHG(in);
         R[in.a].i = io_.io_in(static_cast<uint32_t>(in.imm), in.w);
-        poll_irqs<kProfile>(out);
+        poll_irqs<M>(out);
         break;
       case Op::kOut: {
         CHG(in);
@@ -851,7 +1227,7 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         uint32_t value = static_cast<uint32_t>(R[in.a].i);
         uint32_t port = static_cast<uint32_t>(R[in.b].i);
         io_.io_out(port, value & mask, in.w);
-        poll_irqs<kProfile>(out);
+        poll_irqs<M>(out);
         break;
       }
       case Op::kPanic: {
@@ -880,7 +1256,7 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
           throw_step_limit(in.line);
         }
         steps_left_ -= burn;
-        poll_irqs<kProfile>(out);  // a delay is where pending edges land
+        poll_irqs<M>(out);  // a delay is where pending edges land
         break;
       }
       case Op::kDilEqInt:
@@ -951,21 +1327,21 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
   }
 }
 
-template <bool kProfile>
+template <Vm::Mode M>
 void Vm::run_body(const std::string& entry, RunOutcome& out) {
   // A spliced module initialises the prefix's globals from the shared
   // segment's code, then its own tail globals — the same order (and the
   // same charges) as one concatenated initialiser.
   if (mod_.prefix) {
-    exec<kProfile>(mod_.prefix->globals_init, /*counts_depth=*/false, out);
+    exec<M>(mod_.prefix->globals_init, /*counts_depth=*/false, out);
   }
-  exec<kProfile>(mod_.globals_init, /*counts_depth=*/false, out);
+  exec<M>(mod_.globals_init, /*counts_depth=*/false, out);
   const uint32_t* entry_ix = mod_.find_fn(entry);
   if (!entry_ix) {
     throw Fault{FaultKind::kInternal, "missing function " + entry};
   }
   VmValue result =
-      exec<kProfile>(*mod_.fn_table[*entry_ix], /*counts_depth=*/true, out);
+      exec<M>(*mod_.fn_table[*entry_ix], /*counts_depth=*/true, out);
   out.return_value = result.i;
 }
 
@@ -982,6 +1358,10 @@ RunOutcome Vm::run(const std::string& entry) {
   hang_have_saved_ = false;
   hang_power_ = 1;
   hang_lam_ = 0;
+  hang_proved_ = false;
+  hang_skipped_ = 0;
+  lasso_wait_ = 0;
+  lasso_tries_ = 0;
   probe_below_ = profile_ == nullptr && budget_ > kHangWarmupSteps
                      ? budget_ - kHangWarmupSteps
                      : 0;
@@ -997,9 +1377,9 @@ RunOutcome Vm::run(const std::string& entry) {
   io_.bind_step_probe(&steps_left_, budget_);
   try {
     if (profile_ != nullptr) {
-      run_body<true>(entry, out);
+      run_body<Mode::kProfile>(entry, out);
     } else {
-      run_body<false>(entry, out);
+      run_body<Mode::kRun>(entry, out);
     }
   } catch (const Fault& f) {
     out.fault = f.kind;
@@ -1007,6 +1387,11 @@ RunOutcome Vm::run(const std::string& entry) {
   }
   out.steps_used = budget_ - steps_left_;
   out.executed_lines = out.executed.to_set();
+  if (hang_proved_) {
+    support::Metrics::add_hang_proof(hang_skipped_);
+  } else if (out.fault == FaultKind::kStepLimit) {
+    support::Metrics::add_hang_burn();
+  }
   return out;
 }
 

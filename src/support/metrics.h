@@ -86,12 +86,14 @@ struct MetricsSnapshot {
   /// Non-deterministic by nature — a trip depends on host speed — which is
   /// why it lives here and never in the deterministic campaign counters.
   uint64_t watchdog_trips = 0;
-  /// Boots whose infinite loop the bytecode VM proved by an exact state
-  /// repeat, and the steps those proofs skipped instead of burning. Their
-  /// records are byte-identical to burning the budget; the counts are
+  /// Boots whose infinite loop the bytecode VM proved (by an exact state
+  /// repeat or an affine lasso), and the steps those proofs skipped instead
+  /// of burning; then the VM boots that ran out of budget without a proof.
+  /// Their records are byte-identical to burning the budget; the counts are
   /// telemetry about how the outcome was reached, so they live here.
   uint64_t hang_proofs = 0;
   uint64_t hang_steps_skipped = 0;
+  uint64_t hang_burns = 0;
   /// Fault scenarios classified from the baseline boot's access census
   /// without a boot of their own, because their fault never fires. Their
   /// records equal a boot's; the count says how they were reached.
@@ -112,8 +114,11 @@ class Metrics {
   static void add_pool_fresh(uint64_t n);
   static void add_pool_recycled(uint64_t n);
   static void add_watchdog_trip();
-  /// One proved hang that skipped `steps_skipped` steps of budget burn.
+  /// One boot with a proved hang that skipped `steps_skipped` steps of
+  /// budget burn.
   static void add_hang_proof(uint64_t steps_skipped);
+  /// One VM boot that burned its whole budget without a proof.
+  static void add_hang_burn();
   /// `n` fault scenarios classified from the census instead of booted.
   static void add_fault_boots_skipped(uint64_t n);
   /// Records how many parallel-phase indices each worker executed.

@@ -34,6 +34,9 @@ class StateCapture {
 
   void swap(StateCapture& other) noexcept { words_.swap(other.words_); }
 
+  [[nodiscard]] size_t size() const { return words_.size(); }
+  [[nodiscard]] uint64_t operator[](size_t i) const { return words_[i]; }
+
   friend bool operator==(const StateCapture& a, const StateCapture& b) {
     return a.words_ == b.words_;
   }

@@ -31,6 +31,7 @@ eval::ProcessMetrics sample_process_metrics() {
   pm.pool_fresh = 4;
   pm.pool_recycled = 900;
   pm.hang_proofs = 3;
+  pm.hang_burns = 2;
   pm.worker_records.add(50);
   pm.worker_records.add(60);
   return pm;

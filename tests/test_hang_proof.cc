@@ -1,10 +1,12 @@
 // The bytecode VM's hang proof: an exact machine-state repeat at a loop
-// back-edge proves the boot never terminates, and the VM then skips whole
-// periods of the budget instead of burning them. The proof must never be
-// observable in a RunOutcome — the tree walker always burns, so walker and
-// VM must agree on every budget-exhausting boot of the study's default
-// campaigns, on hand-written loops the proof must decline, on its
-// fallbacks, and at every budget across a proven loop's period.
+// back-edge, or an affine lasso (a loop whose only changing words are
+// counters that nothing but their own updates reads), proves the boot never
+// terminates, and the VM then skips whole periods of the budget instead of
+// burning them. The proof must never be observable in a RunOutcome — the
+// tree walker always burns, so walker and VM must agree on every
+// budget-exhausting boot of the study's default campaigns, on hand-written
+// loops the proof must decline, on its fallbacks, and at every budget
+// across a proven loop's period.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include "hw/flight_recorder.h"
 #include "hw/ide_disk.h"
 #include "hw/io_bus.h"
+#include "minic/bytecode/vm.h"
 #include "minic/program.h"
 #include "mutation/c_mutator.h"
 #include "support/metrics.h"
@@ -133,16 +136,18 @@ TEST(HangProof, Tables34HangBootsMatchTheWalker) {
                              hw::IoBus bus;
                              eval::map_bound_device(bus, cfg.device,
                                                     cfg.device.make_device());
+                             // No wall-clock watchdog: a walker replay
+                             // must burn its budget however busy the host.
                              return minic::run_unit(
                                  *prog->unit, bus, cfg.device.entry,
                                  cfg.step_budget, engine, nullptr,
-                                 cfg.watchdog_ms);
+                                 /*watchdog_ms=*/0);
                            }});
       }
     }
   }
   EXPECT_GE(replays.size(), 94u);
-  EXPECT_GE(replay_on_both_engines(replays), 88u);
+  EXPECT_GE(replay_on_both_engines(replays), 94u);
 }
 
 TEST(HangProof, FaultHangScenariosMatchTheWalker) {
@@ -171,7 +176,7 @@ TEST(HangProof, FaultHangScenariosMatchTheWalker) {
                eval::map_bound_device(bus, base.device, shim);
                auto run = minic::run_unit(*prog->unit, bus, base.device.entry,
                                           base.step_budget, engine, nullptr,
-                                          base.watchdog_ms);
+                                          /*watchdog_ms=*/0);
                *fired = shim->fired() > 0;
                return run;
              }});
@@ -242,7 +247,7 @@ TEST(HangProof, StuckStatusPollIsProven) {
   EXPECT_EQ(r.proofs, 1u);
 }
 
-TEST(HangProof, CounterLoopIsNotProven) {
+TEST(HangProof, CounterLoopIsProvenByLasso) {
   DiffResult r = diff_on_disk(R"(
 int f() {
   int n = 0;
@@ -254,6 +259,193 @@ int f() {
 )");
   EXPECT_EQ(r.vm.fault, minic::FaultKind::kStepLimit);
   expect_same_outcome(r.walker, r.vm, "counter loop");
+  EXPECT_EQ(r.proofs, 1u);
+}
+
+TEST(HangProof, CountersMovedThroughLocalsAndGlobalsAreProven) {
+  // Several counters with different deltas, copied through a local, a
+  // global and an assignment expression (kTakeStored): all affine.
+  DiffResult r = diff_on_disk(R"(
+int g;
+int f() {
+  int a = 0;
+  int b = 7;
+  int t = 0;
+  while (inb(0x1f7) != 0) {
+    t = a;
+    a = t + 1;
+    b -= 3;
+    g = (a += 2);
+  }
+  return a + b + g;
+}
+)");
+  EXPECT_EQ(r.vm.fault, minic::FaultKind::kStepLimit);
+  expect_same_outcome(r.walker, r.vm, "moved counters");
+  EXPECT_EQ(r.proofs, 1u);
+}
+
+TEST(HangProof, CounterFeedingACompareDeclines) {
+  // The compare flips inside the budget: the loop exits, and the lasso must
+  // not have skipped past the exit.
+  DiffResult r = diff_on_disk(R"(
+int f() {
+  int n = 0;
+  while (inb(0x1f7) != 0) {
+    n = n + 1;
+    if (n == 20000) {
+      break;
+    }
+  }
+  return n;
+}
+)",
+                              3'000'000);
+  EXPECT_EQ(r.vm.fault, minic::FaultKind::kNone) << r.vm.fault_message;
+  EXPECT_EQ(r.vm.return_value, 20000);
+  expect_same_outcome(r.walker, r.vm, "compare");
+  EXPECT_EQ(r.proofs, 0u);
+  // The same compare behind a call: the argument declines.
+  DiffResult call = diff_on_disk(R"(
+int done(int v) {
+  if (v == 20000) {
+    return 1;
+  }
+  return 0;
+}
+int f() {
+  int n = 0;
+  while (done(n) == 0) {
+    n = n + 1;
+  }
+  return n;
+}
+)",
+                                 3'000'000);
+  EXPECT_EQ(call.vm.fault, minic::FaultKind::kNone) << call.vm.fault_message;
+  EXPECT_EQ(call.vm.return_value, 20000);
+  expect_same_outcome(call.walker, call.vm, "compare in a callee");
+  EXPECT_EQ(call.proofs, 0u);
+}
+
+TEST(HangProof, CounterUsedAsAnIndexDeclines) {
+  // The index leaves the array inside the budget: kBadIndex at the very
+  // step the walker faults on.
+  DiffResult r = diff_on_disk(R"(
+int buf[25000];
+int f() {
+  int n = 0;
+  int s = 0;
+  while (1) {
+    s = buf[n];
+    n = n + 1;
+  }
+  return s;
+}
+)",
+                              3'000'000);
+  EXPECT_EQ(r.vm.fault, minic::FaultKind::kBadIndex) << r.vm.fault_message;
+  expect_same_outcome(r.walker, r.vm, "index");
+  EXPECT_EQ(r.proofs, 0u);
+}
+
+TEST(HangProof, CounterWrittenToAPortOrPrintedDeclines) {
+  // Port 0x80 is unmapped, so the device state never changes and the
+  // counter is a candidate until the recorded period meets the outb.
+  DiffResult port = diff_on_disk(R"(
+int f() {
+  int n = 0;
+  while (1) {
+    outb(n, 0x80);
+    n = n + 1;
+  }
+  return n;
+}
+)");
+  EXPECT_EQ(port.vm.fault, minic::FaultKind::kStepLimit);
+  expect_same_outcome(port.walker, port.vm, "port");
+  EXPECT_EQ(port.proofs, 0u);
+  // A counter handed to a function that prints: the call argument
+  // declines, and the growing log never repeats.
+  DiffResult print = diff_on_disk(R"(
+int tick(int n) {
+  printk("tick");
+  return 0;
+}
+int f() {
+  int n = 0;
+  while (1) {
+    tick(n);
+    n = n + 1;
+  }
+  return n;
+}
+)");
+  EXPECT_EQ(print.vm.fault, minic::FaultKind::kStepLimit);
+  expect_same_outcome(print.walker, print.vm, "printk");
+  EXPECT_EQ(print.proofs, 0u);
+}
+
+TEST(HangProof, CoercionWrapBoundsTheSkip) {
+  // Each counter wraps inside the budget: the skip must stop short of the
+  // period whose store would wrap, and the boot runs on exactly. (A proven
+  // loop never reads its counter, so only the state, not the outcome,
+  // would show a skip past the wrap.)
+  const char* const kLoops[] = {
+      R"(
+int f() {
+  u8 c = 0;
+  while (1) {
+    c = c + 1;
+  }
+  return c;
+}
+)",
+      R"(
+u16 g;
+int f() {
+  while (1) {
+    g -= 1;
+  }
+  return g;
+}
+)",
+      R"(
+int f() {
+  int c = 2147463647;
+  while (1) {
+    c += 1;
+  }
+  return c;
+}
+)"};
+  for (const char* src : kLoops) {
+    for (uint64_t budget : {kBudget, uint64_t{1'234'567}}) {
+      DiffResult r = diff_on_disk(src, budget);
+      EXPECT_EQ(r.vm.fault, minic::FaultKind::kStepLimit) << src;
+      expect_same_outcome(r.walker, r.vm,
+                          std::string(src) + " budget=" +
+                              std::to_string(budget));
+      EXPECT_EQ(r.proofs, 1u) << src;
+    }
+  }
+  // Here the first store wraps in every period and the second wraps back,
+  // so each period still adds 1; an exact repeat is 65,536 iterations
+  // away, past the search. With every skip bounded at 0 periods, the boot
+  // must burn.
+  DiffResult r = diff_on_disk(R"(
+u16 x = 30000;
+int f() {
+  while (1) {
+    x += 40000;
+    x -= 39999;
+  }
+  return x;
+}
+)",
+                              200'000);
+  EXPECT_EQ(r.vm.fault, minic::FaultKind::kStepLimit);
+  expect_same_outcome(r.walker, r.vm, "wrap in every period");
   EXPECT_EQ(r.proofs, 0u);
 }
 
@@ -328,11 +520,47 @@ TEST(HangProof, FlightRecorderFallsBackWithIdenticalTrace) {
   EXPECT_EQ(counter.proofs(), 0u);
 }
 
+TEST(HangProof, SkippedCountersKeepTheirExactValues) {
+  // No RunOutcome shows a proven loop's counters, so read the globals. The
+  // store to `y` wraps while x > 25535 and not after; across these start
+  // values that change falls inside a recorded period, where the skip must
+  // decline rather than carry the wrapped delta on. Each iteration leaves
+  // gy = (gx + 40001) mod 2^16, or gx + 40000 if the budget runs out
+  // between the last two stores.
+  uint64_t proofs = 0;
+  for (int x0 = 28800; x0 < 29200; ++x0) {
+    auto prog = minic::compile(
+        "t.c", "int gx;\nint gy;\nint f() {\n  int x = " +
+                   std::to_string(x0) +
+                   ";\n  u16 y = 0;\n  while (1) {\n    y = x + 40000;\n"
+                   "    x = x - 1;\n    gy = y;\n    gx = x;\n  }\n"
+                   "  return 0;\n}\n");
+    ASSERT_TRUE(prog.ok()) << prog.diags.render();
+    const auto mod = minic::bytecode::compile_unit(*prog.unit);
+    hw::IoBus bus;
+    ProofCounter counter;
+    minic::bytecode::Vm vm(mod, bus, 150'000);
+    const auto run = vm.run("f");
+    proofs += counter.proofs();
+    ASSERT_EQ(run.fault, minic::FaultKind::kStepLimit);
+    const int64_t gx = vm.globals()[0].i;
+    const int64_t gy = vm.globals()[1].i;
+    EXPECT_TRUE(gy == ((gx + 40001) & 0xffff) ||
+                gy == ((gx + 40000) & 0xffff))
+        << "x0=" << x0 << " gx=" << gx << " gy=" << gy;
+  }
+  EXPECT_GT(proofs, 0u);
+}
+
 TEST(HangProof, DenseBudgetSweepPinsThePeriodArithmetic) {
-  // A multi-line period with a udelay burn inside: every budget lands the
-  // exhaustion on a different instruction of the cycle (or inside the
-  // burn), and the proved run must land on the very same one.
-  const std::string src = R"(
+  // Multi-line periods: every budget lands the exhaustion on a different
+  // instruction of the cycle (or inside the udelay burn), and the proved
+  // run must land on the very same one. The first loop repeats exactly;
+  // the other two are the Tables 3/4 lasso shape, where renaming the loop
+  // variable's increment onto an int global or an array global's scalar
+  // value leaves a counter the loop never reads.
+  const char* const kLoops[] = {
+      R"(
 int f() {
   int s = 0;
   while (1) {
@@ -344,22 +572,45 @@ int f() {
   }
   return s;
 }
-)";
-  uint64_t proved = 0;
-  size_t budgets = 0;
-  for (uint64_t budget = 70'000; budget < 70'064; ++budget) {
-    DiffResult r = diff_on_disk(src, budget);
-    expect_same_outcome(r.walker, r.vm, "budget=" + std::to_string(budget));
-    proved += r.proofs;
-    ++budgets;
+)",
+      R"(
+u16 buf[256];
+int g;
+int f() {
+  int i;
+  for (i = 0; i < 256; g++) {
+    buf[i] = inw(0x1f0);
   }
-  for (uint64_t budget = 100'000; budget < 2'000'000; budget += 99'991) {
-    DiffResult r = diff_on_disk(src, budget);
-    expect_same_outcome(r.walker, r.vm, "budget=" + std::to_string(budget));
-    proved += r.proofs;
-    ++budgets;
+  return 0;
+}
+)",
+      R"(
+u16 buf[256];
+int f() {
+  int i;
+  for (i = 0; i < 256; buf++) {
+    buf[i] = inw(0x1f0);
   }
-  EXPECT_EQ(proved, budgets);
+  return 0;
+}
+)"};
+  for (const char* src : kLoops) {
+    uint64_t proved = 0;
+    size_t budgets = 0;
+    for (uint64_t budget = 70'000; budget < 70'064; ++budget) {
+      DiffResult r = diff_on_disk(src, budget);
+      expect_same_outcome(r.walker, r.vm, "budget=" + std::to_string(budget));
+      proved += r.proofs;
+      ++budgets;
+    }
+    for (uint64_t budget = 100'000; budget < 2'000'000; budget += 99'991) {
+      DiffResult r = diff_on_disk(src, budget);
+      expect_same_outcome(r.walker, r.vm, "budget=" + std::to_string(budget));
+      proved += r.proofs;
+      ++budgets;
+    }
+    EXPECT_EQ(proved, budgets) << src;
+  }
 }
 
 }  // namespace
